@@ -92,6 +92,13 @@ def _add_sem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-9)
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -194,7 +201,8 @@ def cmd_expect(args) -> int:
         res = semantics.expected_count(t, args.label, _sem_config(args))
         if res.status == semantics.OK:
             out["dual"] = {"conditional": res.conditional, "raw": res.raw,
-                           "p_conv": res.p_conv}
+                           "p_conv": res.p_conv,
+                           "converged": res.converged}
         else:
             out["dual"] = res.status
     if args.method in ("mc", "both"):
@@ -349,7 +357,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--exhaustive", action="store_true",
                    help="enumerate all choice prefixes (default)")
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=_positive_int, default=None)
     p.add_argument("--choices", default=None,
                    help="explicit bit string to run on")
     p.add_argument("--max-steps", type=int, default=None)
@@ -377,7 +385,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("dual", "mc", "both"),
                    default="dual")
     _add_sem_flags(p)
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=_positive_int, default=10_000)
     p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=int, default=0)
@@ -420,6 +428,10 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     except PpcfError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        # the parser and the evaluators recurse on the term structure
+        print("error: input nests too deeply", file=sys.stderr)
         return EXIT_USAGE
 
 

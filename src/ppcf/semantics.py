@@ -20,6 +20,15 @@ observation: evaluate at depth d and 2d and stop once the observation
 is stable.  Derivatives that keep growing along the ladder, or exceed
 ``divergence_threshold``, are reported as divergent rather than as a
 number.
+
+A closed fix node (one without free variables) is evaluated once per
+evaluator: every later visit reuses the same fixpoint family, with its
+unrolled functionals, argument memo and ground iterate.  This is sound
+because a closed term denotes the same value in every environment and
+an evaluator's unrolling depth is fixed, so a fresh family would
+recompute exactly what the shared one holds.  Without the sharing, a
+closed recursive helper called from inside another recursion is
+unrolled again on every outer call.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from typing import Mapping, Optional, Union
 
 from .syntax import (
     App, Dice, Fix, Ifz, Lam, Let, Mark, Num, Pred, PpcfError, Succ, Term,
-    Var, typecheck, Nat,
+    Var, free_vars, typecheck, Nat,
 )
 from .translate import default_spy_vars, spy, strip
 
@@ -202,15 +211,6 @@ class Dist:
                              for n, c in self.coords.items())),
                 _fp_scalar(self.overflow))
 
-    def as_floats(self, nmax: int) -> "list[tuple[float, dict[str, float]]]":
-        """Dense coordinate list 0..max nonzero index, (value, partials)."""
-        top = max(self.coords.keys(), default=0)
-        out = []
-        for n in range(min(top, nmax) + 1):
-            c = self.coords.get(n, 0.0)
-            out.append((sval(c), dict(sparts(c))))
-        return out
-
     def __repr__(self):
         inside = ", ".join(f"{n}: {c!r}" for n, c in sorted(self.coords.items()))
         return f"Dist({{{inside}}}, overflow={self.overflow!r})"
@@ -228,6 +228,16 @@ class SemConfig:
     fix_iters: int = 10_000
     tol: float = 1e-9
     divergence_threshold: float = 1e12
+
+    def __post_init__(self):
+        # a tolerance of 0 or below never stops a Kleene iteration, and
+        # a numeral range below 1 silently moves all mass into overflow
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise PpcfError(f"tol must be finite and > 0, got {self.tol}")
+        if self.nmax < 1:
+            raise PpcfError(f"nmax must be >= 1, got {self.nmax}")
+        if self.fix_iters < 1:
+            raise PpcfError(f"fix_iters must be >= 1, got {self.fix_iters}")
 
 
 DEFAULT_CONFIG = SemConfig()
@@ -296,7 +306,13 @@ VBot = _BotType()
 
 
 class _FixFam:
-    """One evaluation of a fix node: shared unrolling caches."""
+    """One evaluation of a fix node: shared unrolling caches.
+
+    An evaluator makes one family per closed fix node and reuses it at
+    every visit (see the module docstring); an open fix node gets a
+    fresh family each time, since its functional depends on the
+    environment.
+    """
 
     __slots__ = ("functional", "memo", "gcache", "ground", "refs")
 
@@ -362,6 +378,9 @@ class _Eval:
         self.depth = depth          # unrolling budget for applied fixpoints
         self.used_arrow_fix = False
         self.unconverged = False
+        # id(Fix node) -> (node, its shared VFix, or None when the node
+        # is open); holding the node keeps its id from being reused
+        self.fixes: dict[int, tuple[Fix, Optional[VFix]]] = {}
 
     def eval(self, t: Term, env: dict):
         cls = type(t)
@@ -390,7 +409,7 @@ class _Eval:
         if cls is Lam:
             return Closure(t.name, t.body, env)
         if cls is Fix:
-            return VFix(_FixFam(self.eval(t.arg, env)), self.depth)
+            return self._fix(t, env)
         if cls is Ifz:
             d = self.obs(self.eval(t.scrut, env))
             c0, cpos = d.mass0(), d.mass_pos()
@@ -418,6 +437,15 @@ class _Eval:
             raise PpcfError("marks have no direct denotation; "
                             "strip or translate them first")
         raise TypeError(f"not a term: {t!r}")
+
+    def _fix(self, t: Fix, env: dict) -> VFix:
+        hit = self.fixes.get(id(t))
+        if hit is not None and hit[1] is not None:
+            return hit[1]
+        v = VFix(_FixFam(self.eval(t.arg, env)), self.depth)
+        if hit is None:
+            self.fixes[id(t)] = (t, None if free_vars(t) else v)
+        return v
 
     # -- application -------------------------------------------------------
 

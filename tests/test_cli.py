@@ -99,6 +99,35 @@ def test_parse_and_type_errors_exit_2(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["denot", "geo", "--tol", "0"],
+    ["denot", "geo", "--tol", "-1"],
+    ["denot", "geo", "--tol", "nan"],
+    ["denot", "geo", "--nmax", "-1"],
+    ["denot", "geo", "--fix-iters", "0"],
+    ["eval", "geo", "--samples", "-3"],
+    ["expect", "mq025_marked", "--label", "t", "--samples", "0"],
+])
+def test_bad_settings_exit_2(programs, argv):
+    # in a fresh process with a timeout: a tolerance of 0 used to make
+    # the Kleene iteration run forever
+    argv = [argv[0], programs(argv[1]), *argv[2:]]
+    r = subprocess.run([sys.executable, "-m", "ppcf.cli", "--quiet", *argv],
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "error:" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_deep_input_exits_2(capsys, programs):
+    src = programs("deep", "succ " * 10_000 + "0")
+    assert main(["--quiet", "eval", src]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
 def test_denot_ground(capsys, programs):
     rc, out = run_cli(capsys, "denot", programs("mq075"), "--tol", "1e-12")
     assert rc == 0 and out["converged"]
@@ -130,6 +159,7 @@ def test_expect_dual(capsys, programs):
                       "--label", "t")
     assert rc == 0
     assert abs(out["dual"]["conditional"] - 3.0) < 1e-6
+    assert out["dual"]["converged"] is True
     rc, _ = run_cli(capsys, "expect", programs("mq025_marked"),
                     "--label", "zz")
     assert rc == 2

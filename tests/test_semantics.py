@@ -6,8 +6,8 @@ import pytest
 from ppcf.machine import enumerate_paths, init_state
 from ppcf.progen import gen_corpus
 from ppcf.semantics import (
-    DIVERGES, OK, UNDEFINED, Dual, PrecisionError, SemConfig, denot,
-    expected_count, finite_difference_check, ground_denot, prob_zero,
+    DIVERGES, OK, UNDEFINED, Dist, Dual, PrecisionError, SemConfig, _Eval,
+    denot, expected_count, finite_difference_check, ground_denot, prob_zero,
     spy_denot, sparts, sval,
 )
 from ppcf.syntax import (
@@ -176,3 +176,32 @@ def test_unconverged_is_reported():
     cfg = SemConfig(tol=1e-12, fix_iters=8)
     gr = ground_denot(App(make_mq(Fraction(1, 2)), num(0)), None, cfg)
     assert not gr.converged
+
+
+def test_closed_fix_shares_one_family():
+    t = parse_term("fix (\\f:nat -> nat. \\n:nat. "
+                   "ifz n then 0 else f (pred n))")
+    ev = _Eval(CFG, 8)
+    a, b = ev.eval(t, {}), ev.eval(t, {"y": Dist.dirac(3, CFG.nmax)})
+    assert a is b
+    assert _Eval(CFG, 8).eval(t, {}) is not a     # one family per evaluator
+
+
+def test_open_fix_gets_a_family_per_visit():
+    t = parse_term("fix (\\f:nat -> nat. \\n:nat. "
+                   "ifz n then y else f (pred n))")
+    ev = _Eval(CFG, 8)
+    a = ev.eval(t, {"y": Dist.dirac(0, CFG.nmax)})
+    b = ev.eval(t, {"y": Dist.dirac(1, CFG.nmax)})
+    assert a.fam is not b.fam
+    assert sval(ev.obs(ev.apply(a, Dist.dirac(2, CFG.nmax))).mass0()) == 1.0
+    assert sval(ev.obs(ev.apply(b, Dist.dirac(2, CFG.nmax))).mass0()) == 0.0
+
+
+@pytest.mark.parametrize("kw", [
+    {"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf},
+    {"nmax": 0}, {"fix_iters": 0},
+])
+def test_bad_config_rejected(kw):
+    with pytest.raises(PpcfError):
+        SemConfig(**kw)
