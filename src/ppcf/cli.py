@@ -99,6 +99,17 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _nonneg_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
+def _max_steps(args, default: int) -> int:
+    return default if args.max_steps is None else args.max_steps
+
+
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -115,8 +126,8 @@ def cmd_eval(args) -> int:
             print("error: --choices must be a bit string", file=sys.stderr)
             return EXIT_USAGE
         rec = machine.run(machine.init_state(t), args.choices,
-                          max_steps=args.max_steps
-                          or machine.DEFAULT_MAX_STEPS)
+                          max_steps=_max_steps(
+                              args, machine.DEFAULT_MAX_STEPS))
         if rec is None:
             _emit({"mode": "run", "accepted": False})
         else:
@@ -130,7 +141,7 @@ def cmd_eval(args) -> int:
         seed = _seed(args)
         # divergent runs burn the whole step budget, so sampling takes a
         # much smaller default than the deterministic modes
-        max_steps = args.max_steps or SAMPLE_MAX_STEPS
+        max_steps = _max_steps(args, SAMPLE_MAX_STEPS)
         _log(args, f"sampling {args.samples} runs, seed {seed}, "
                    f"step cap {max_steps}")
         values: dict = {}
@@ -149,8 +160,8 @@ def cmd_eval(args) -> int:
         return EXIT_EMPTY if cut == args.samples else 0
 
     res = machine.enumerate_paths(machine.init_state(t),
-                                  max_steps=args.max_steps
-                                  or machine.DEFAULT_MAX_STEPS,
+                                  max_steps=_max_steps(
+                                      args, machine.DEFAULT_MAX_STEPS),
                                   max_choices=args.max_choices)
     _emit({
         "mode": "exhaustive",
@@ -210,7 +221,7 @@ def cmd_expect(args) -> int:
         _log(args, f"sampling {args.samples} runs, seed {seed}")
         est = machine.estimate_conditional_count(
             t, args.label, args.samples,
-            max_steps=args.max_steps or SAMPLE_MAX_STEPS, seed=seed)
+            max_steps=_max_steps(args, SAMPLE_MAX_STEPS), seed=seed)
         if est.n_converged == 0:
             out["mc"] = "NO_CONVERGED_SAMPLES"
         else:
@@ -360,8 +371,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive_int, default=None)
     p.add_argument("--choices", default=None,
                    help="explicit bit string to run on")
-    p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--max-choices", type=int,
+    p.add_argument("--max-steps", type=_positive_int, default=None)
+    p.add_argument("--max-choices", type=_nonneg_int,
                    default=machine.DEFAULT_MAX_CHOICES)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=int, default=0,
@@ -386,7 +397,7 @@ def _parser() -> argparse.ArgumentParser:
                    default="dual")
     _add_sem_flags(p)
     p.add_argument("--samples", type=_positive_int, default=10_000)
-    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--max-steps", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=int, default=0)
     p.set_defaults(fn=cmd_expect)

@@ -13,6 +13,13 @@ On top of the single-run evaluator this module provides exhaustive
 enumeration of choice prefixes (exact converged and open masses),
 Monte Carlo sampling, and a conditional mean estimator for label
 counts among converged runs.
+
+A run is cut as a provable cycle when a state is the one two steps
+before it: the same focus object on the same stack object.  The
+canonical divergent term ``fix (\\x. x)`` loops this way, since popping
+a frame gives back the very stack object below it.  The check keeps
+the two previous focus and stack objects alive and compares them with
+``is``, so a freed object's reused address cannot fake a repeat.
 """
 
 from __future__ import annotations
@@ -158,18 +165,28 @@ class CountEstimate:
 # ---------------------------------------------------------------------------
 # core stepping
 
+_TWO53 = 1 << 53
+
+
 class _SubstCache:
-    """Memo for whole-term substitutions, keyed by object identity.
+    """Per-run memo of substitutions, frames and coin thresholds.
 
     Machine runs substitute the same (body, name, argument) triple over
     and over (every fix unrolling, every beta with a shared argument
-    node).  Keeping strong references to the keyed terms pins their ids.
+    node), push the same frame for the same ``App``, ``Ifz``, ``Fix`` or
+    ``Let`` node (frames are immutable, so one per node serves), and
+    flip coins of the same rate object.  All three tables are keyed by
+    object identity; keeping strong references to the keyed objects
+    pins their ids.
     """
 
-    __slots__ = ("table",)
+    __slots__ = ("table", "frames", "coins", "pinned")
 
     def __init__(self) -> None:
         self.table: dict[tuple[int, str, int], tuple] = {}
+        self.frames: dict[int, Frame] = {}      # id(node) -> its frame
+        self.coins: dict[int, float] = {}       # id(rate) -> threshold
+        self.pinned: list = []                  # keys of frames and coins
 
     def subst(self, t: Term, name: str, s: Term) -> Term:
         key = (id(t), name, id(s))
@@ -180,20 +197,57 @@ class _SubstCache:
         self.table[key] = (t, s, r)
         return r
 
+    def frame(self, t: Term) -> Frame:
+        """The frame pushed when stepping into t's first subterm."""
+        cls = type(t)
+        if cls is App:
+            fr = ArgFrame(t.arg)
+        elif cls is Ifz:
+            fr = IfzFrame(t.zero, t.pos)
+        elif cls is Fix:
+            fr = ArgFrame(t)
+        else:
+            fr = LetFrame(t.name, t.body)
+        self.frames[id(t)] = fr
+        self.pinned.append(t)
+        return fr
 
-# Outcomes of _advance: ("dice", rate, stack, steps), ("done", n, steps),
-# ("open", steps), ("cycle", steps), ("stuck", steps).
+    def threshold(self, r: Fraction) -> float:
+        """The float ``c / 2**53`` with ``c = ceil(r * 2**53)``.
+
+        ``random.Random.random()`` returns ``k / 2**53`` for an integer
+        ``k``, and for integer ``k``, ``k < r * 2**53`` exactly when
+        ``k < c``.  Both sides are multiples of ``2**-53`` that a float
+        holds exactly (``c <= 2**53`` as ``r <= 1``), so
+        ``random() < threshold(r)`` decides ``random() < r`` without
+        rational arithmetic.  ``float(r)`` would not: at ``r = 2/3`` it
+        rounds down onto a value ``random()`` can return.
+        """
+        thr = math.ceil(r * _TWO53) / _TWO53
+        self.coins[id(r)] = thr
+        self.pinned.append(r)
+        return thr
+
+
+# Every outcome of _advance is a 4-tuple (kind, value, stack, steps):
+# ("dice", rate, stack, steps) at a coin, ("done", n, None, steps) on a
+# numeral over the empty stack, and ("open" | "cycle" | "stuck", None,
+# stack, steps) otherwise.
 def _advance(focus, stack, labels, steps, max_steps, cache, on_state=None):
     """Run deterministically until a coin, a terminal, or the budget."""
     sub = cache.subst
-    prev1 = prev2 = (None, None)
+    frames = cache.frames
+    frame = cache.frame
+    f1 = s1 = f2 = s2 = None        # the two previous states
     while True:
         if on_state is not None:
             on_state(focus, stack)
-        here = (id(focus), id(stack))
-        if here == prev2:
+        if focus is f2 and stack is s2:
             return ("cycle", None, stack, steps)
-        prev2, prev1 = prev1, here
+        f2 = f1
+        s2 = s1
+        f1 = focus
+        s1 = stack
 
         cls = type(focus)
         if cls is Num:
@@ -212,7 +266,7 @@ def _advance(focus, stack, labels, steps, max_steps, cache, on_state=None):
             else:  # LetFrame
                 focus = sub(fr.body, fr.name, focus)
         elif cls is App:
-            stack = (ArgFrame(focus.arg), stack)
+            stack = (frames.get(id(focus)) or frame(focus), stack)
             focus = focus.fun
         elif cls is Lam:
             if stack is None:
@@ -222,10 +276,10 @@ def _advance(focus, stack, labels, steps, max_steps, cache, on_state=None):
                 return ("stuck", None, stack, steps)
             focus = sub(focus.body, focus.name, fr.term)
         elif cls is Ifz:
-            stack = (IfzFrame(focus.zero, focus.pos), stack)
+            stack = (frames.get(id(focus)) or frame(focus), stack)
             focus = focus.scrut
         elif cls is Fix:
-            stack = (ArgFrame(focus), stack)
+            stack = (frames.get(id(focus)) or frame(focus), stack)
             focus = focus.arg
         elif cls is Dice:
             return ("dice", focus.rate, stack, steps)
@@ -236,7 +290,7 @@ def _advance(focus, stack, labels, steps, max_steps, cache, on_state=None):
             stack = (_PRED, stack)
             focus = focus.arg
         elif cls is Let:
-            stack = (LetFrame(focus.name, focus.body), stack)
+            stack = (frames.get(id(focus)) or frame(focus), stack)
             focus = focus.bound
         elif cls is Mark:
             labels[focus.label] = labels.get(focus.label, 0) + 1
@@ -257,6 +311,13 @@ def _link(frames: Sequence[Frame]):
     for fr in reversed(frames):
         stack = (fr, stack)
     return stack
+
+
+def _check_budget(max_steps: int, max_choices: int = 0) -> None:
+    if max_steps < 1:
+        raise PpcfError(f"max_steps must be >= 1, got {max_steps}")
+    if max_choices < 0:
+        raise PpcfError(f"max_choices must be >= 0, got {max_choices}")
 
 
 def _bits(choices: Union[str, Sequence[int]]) -> list[int]:
@@ -282,6 +343,7 @@ def run(state: State,
     sequence too short or not fully consumed, terminal numeral nonzero,
     provable cycle, or step budget exhausted.
     """
+    _check_budget(max_steps)
     bits = _bits(choices)
     cache = _SubstCache()
     labels: dict[str, int] = {}
@@ -315,6 +377,7 @@ def sample(state: State,
            seed: int,
            max_steps: int = DEFAULT_MAX_STEPS) -> SampleRecord:
     """One probabilistic run, drawing a bit at every coin."""
+    _check_budget(max_steps)
     rng = random.Random(seed)
     cache = _SubstCache()
     return _sample(state, rng, max_steps, cache)
@@ -324,12 +387,16 @@ def _sample(state, rng, max_steps, cache) -> SampleRecord:
     labels: dict[str, int] = {}
     focus, stack = state.focus, _link(state.frames)
     steps = 0
+    coins = cache.coins
+    zero, one = num(0), num(1)
     while True:
         kind, val, stack, steps = _advance(
             focus, stack, labels, steps, max_steps, cache)
         if kind == "dice":
-            b = 0 if rng.random() < val else 1
-            focus = num(b)
+            thr = coins.get(id(val))
+            if thr is None:
+                thr = cache.threshold(val)
+            focus = zero if rng.random() < thr else one
             steps += 1
             if steps >= max_steps:
                 return SampleRecord(False, None, labels, steps)
@@ -351,6 +418,7 @@ def enumerate_paths(state: State,
     canonical divergent term loops in two steps) as diverged.  Branches
     of probability zero are not explored.
     """
+    _check_budget(max_steps, max_choices)
     cache = _SubstCache()
     converged = Fraction(0)
     open_ = Fraction(0)
@@ -413,6 +481,7 @@ def estimate_conditional_count(t: Term,
     """Monte Carlo mean of a label count among converged runs of t."""
     if n <= 0:
         raise PpcfError("need at least one sample")
+    _check_budget(max_steps)
     state = init_state(t)
     cache = _SubstCache()
     counts: list[int] = []

@@ -107,6 +107,13 @@ def test_parse_and_type_errors_exit_2(capsys, tmp_path):
     ["denot", "geo", "--fix-iters", "0"],
     ["eval", "geo", "--samples", "-3"],
     ["expect", "mq025_marked", "--label", "t", "--samples", "0"],
+    ["eval", "geo", "--max-steps", "0"],
+    ["eval", "geo", "--max-steps", "-5"],
+    ["eval", "geo", "--choices", "0", "--max-steps", "-1"],
+    ["eval", "geo", "--samples", "5", "--max-steps", "0"],
+    ["eval", "geo", "--max-choices", "-1"],
+    ["expect", "mq025_marked", "--label", "t", "--method", "mc",
+     "--max-steps", "0"],
 ])
 def test_bad_settings_exit_2(programs, argv):
     # in a fresh process with a timeout: a tolerance of 0 used to make

@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 
 from ppcf.machine import (
-    CountEstimate, State, enumerate_paths, estimate_conditional_count,
-    init_state, run, sample, split_seed, state_type,
+    CountEstimate, State, _sample, _SubstCache, enumerate_paths,
+    estimate_conditional_count, init_state, run, sample, split_seed,
+    state_type,
 )
 from ppcf.progen import gen_corpus
-from ppcf.syntax import NAT, App, Mark, make_mq, num, parse_term
+from ppcf.syntax import NAT, App, Mark, PpcfError, make_mq, num, parse_term
 
 
 def enum(src, **kw):
@@ -175,3 +176,73 @@ def test_conditional_count_estimate():
 def test_estimate_requires_samples():
     with pytest.raises(Exception):
         estimate_conditional_count(num(0), "t", 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda st, k: run(st, "0", **k),
+    lambda st, k: sample(st, 1, **k),
+    lambda st, k: enumerate_paths(st, **k),
+    lambda st, k: estimate_conditional_count(st.focus, "t", 10, **k),
+], ids=["run", "sample", "enumerate_paths", "estimate_conditional_count"])
+@pytest.mark.parametrize("max_steps", [0, -5])
+def test_bad_step_budget_rejected(call, max_steps):
+    with pytest.raises(PpcfError, match="max_steps"):
+        call(init_state(parse_term("dice(1/2)")), {"max_steps": max_steps})
+
+
+def test_choice_budget():
+    state = init_state(parse_term("dice(1/2)"))
+    with pytest.raises(PpcfError, match="max_choices"):
+        enumerate_paths(state, max_choices=-1)
+    res = enumerate_paths(state, max_choices=0)     # 0 is a valid budget
+    assert res.paths == [] and res.open_mass == 1
+
+
+class _FixedRng:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@pytest.mark.parametrize("rate, u, bit", [
+    # float(2/3) rounds down to this value, which random() can return:
+    # it lies below 2/3, so the coin shows 0
+    ("2/3", 6004799503160661 / 2 ** 53, 0),
+    ("2/3", 6004799503160662 / 2 ** 53, 1),
+    ("0", 0.0, 1),
+    ("1", 1 - 2 ** -53, 0),
+])
+def test_coin_compares_exactly(rate, u, bit):
+    assert float(Fraction(2, 3)) == 6004799503160661 / 2 ** 53
+    assert (u < Fraction(rate)) == (bit == 0)
+    state = init_state(parse_term(f"dice({rate})"))
+    rec = _sample(state, _FixedRng(u), 10, _SubstCache())
+    assert rec.value == bit and rec.steps == 1
+
+
+# (converged, value, labels, steps) of sample on mq(3/4) with a marked
+# argument, max_steps=5000, seeds split_seed(20260814, i) for i = 0..9
+GOLDEN_MQ34 = [
+    (False, None, {"t": 234}, 5000),
+    (False, None, {"t": 276}, 5000),
+    (False, None, {"t": 266}, 5000),
+    (True, 0, {"t": 2}, 13),
+    (False, None, {"t": 240}, 5000),
+    (False, None, {"t": 238}, 5000),
+    (False, None, {"t": 288}, 5000),
+    (False, None, {"t": 240}, 5000),
+    (False, None, {"t": 218}, 5000),
+    (False, None, {"t": 222}, 5000),
+]
+
+
+def test_sample_stream_pinned():
+    # any change to the coin draws or to stepping moves these
+    state = init_state(App(make_mq(Fraction(3, 4)), Mark(num(0), "t")))
+    got = []
+    for i in range(10):
+        rec = sample(state, split_seed(20260814, i), max_steps=5000)
+        got.append((rec.converged, rec.value, rec.labels, rec.steps))
+    assert got == GOLDEN_MQ34
