@@ -37,15 +37,18 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(", ", ": ")))
 
 
-def _load(path: str):
+def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        print(f"error: {path}: {e}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _load(path: str):
     try:
-        t = parse_term(text)
+        t = parse_term(_read(path))
         typecheck(t)
     except PpcfError as e:
         print(f"error: {path}: {e}", file=sys.stderr)
@@ -97,6 +100,13 @@ def _positive_int(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
     return n
+
+
+def _open_unit(text: str) -> float:
+    p = float(text)
+    if not 0.0 < p < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {p}")
+    return p
 
 
 def _nonneg_int(text: str) -> int:
@@ -289,23 +299,10 @@ def cmd_check(args) -> int:
         return 0 if rep.ok else EXIT_VIOLATION
 
     if suite == "chain":
-        import numpy as np
-        web = pcs.nat_web(4)
-        worst = 0.0
-        witness = None
-        for i in range(args.trials):
-            rng = np.random.default_rng([seed, i])
-            s = pcs.random_series(rng, web, web)
-            t = pcs.random_series(rng, web, ("*",))
-            x = pcs.random_point(rng, 4, 0.8)
-            u = pcs.random_point(rng, 4, 0.1)
-            err = pcs.chain_rule_check(s, t, x, u)
-            if err > worst:
-                worst, witness = err, i
-        ok = worst <= 1e-9
-        _emit({"suite": suite, "trials": args.trials, "max_err": worst,
-               "worst_trial": witness, "ok": ok})
-        return 0 if ok else EXIT_VIOLATION
+        rep = pcs.chain_check(args.trials, seed)
+        _emit({"suite": suite, "trials": rep.trials, "max_err": rep.max_err,
+               "worst_trial": rep.worst_trial, "ok": rep.ok})
+        return 0 if rep.ok else EXIT_VIOLATION
 
     if suite == "distance":
         rep = pcs.distance_axiom_check(args.trials, seed)
@@ -333,15 +330,11 @@ def cmd_check(args) -> int:
     # tamed
     left = _load(args.left) if args.left else corpus.load_program("dice000")
     right = _load(args.right) if args.right else corpus.load_program("dice010")
-    if args.contexts:
-        ctxs = []
-        for line in open(args.contexts, encoding="utf-8"):
-            line = line.split("#", 1)[0].strip()
-            if line:
-                ctxs.append(parse_term(line))
-    else:
-        ctxs = corpus.load_contexts()
     try:
+        if args.contexts:
+            ctxs = corpus.parse_contexts(_read(args.contexts))
+        else:
+            ctxs = corpus.load_contexts()
         p = Fraction(str(args.p)).limit_denominator(10**6)
         rep = pcs.tamed_bound_check(left, right, p, ctxs)
     except (PpcfError, ValueError) as e:
@@ -420,8 +413,8 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="randomised property suites")
     p.add_argument("suite", choices=("lipschitz", "chain", "distance",
                                      "adequacy", "tamed"))
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--p", type=float, default=0.5)
+    p.add_argument("--trials", type=_positive_int, default=1000)
+    p.add_argument("--p", type=_open_unit, default=0.5)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--contexts", default=None)
     p.add_argument("--left", default=None)
@@ -441,7 +434,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:
-        # the parser and the evaluators recurse on the term structure
+        # the parser recurses through parentheses and binders, and the
+        # denotational evaluator on the term structure
         print("error: input nests too deeply", file=sys.stderr)
         return EXIT_USAGE
 

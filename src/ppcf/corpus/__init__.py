@@ -11,7 +11,8 @@ from typing import List
 
 from ..syntax import NAT, Arrow, Term, parse_term, typecheck
 
-__all__ = ["program_names", "load_program", "load_contexts", "read_text"]
+__all__ = ["program_names", "load_program", "load_contexts", "parse_contexts",
+           "read_text"]
 
 
 def _root():
@@ -35,8 +36,13 @@ def load_program(name: str) -> Term:
 
 
 def load_contexts(name: str = "contexts") -> List[Term]:
+    return parse_contexts(read_text(name + ".ctx"))
+
+
+def parse_contexts(text: str) -> List[Term]:
+    """The ``nat -> nat`` terms of a context file, one per line."""
     out = []
-    for line in read_text(name + ".ctx").splitlines():
+    for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

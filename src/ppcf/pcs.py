@@ -43,7 +43,7 @@ __all__ = [
     "local_web", "local_member", "matapp", "compose",
     "PowerSeries", "monomial", "series_apply", "deriv_matrix",
     "promotion_series", "random_point", "random_series",
-    "chain_rule_check", "first_order_check", "lipschitz_check",
+    "chain_check", "chain_rule_check", "first_order_check", "lipschitz_check",
     "distance_axiom_check", "tamed_bound_check",
     "ChainReport", "TrialReport", "TamedReport",
 ]
@@ -357,6 +357,7 @@ class ChainReport:
     trials: int
     max_err: float
     tol: float
+    worst_trial: Optional[int]      # the trial reaching max_err, if > 0
 
     @property
     def ok(self) -> bool:
@@ -382,6 +383,23 @@ def chain_rule_check(s: PowerSeries, t: PowerSeries, x, u,
     Dt = deriv_matrix(t, [sval(v) for v in y])
     rhs = (np.asarray(u, float) @ Ds) @ Dt
     return float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
+
+
+def chain_check(trials: int, seed: int) -> ChainReport:
+    """chain_rule_check on random series s: 4 -> 4 and t: 4 -> 1 at a
+    random point and direction, one generator per trial."""
+    web = nat_web(4)
+    worst, witness = 0.0, None
+    for i in range(trials):
+        rng = np.random.default_rng([seed, i])
+        s = random_series(rng, web, web)
+        t = random_series(rng, web, ("*",))
+        x = random_point(rng, 4, 0.8)
+        u = random_point(rng, 4, 0.1)
+        err = chain_rule_check(s, t, x, u)
+        if err > worst:
+            worst, witness = err, i
+    return ChainReport(trials, worst, 1e-9, witness)
 
 
 def first_order_check(t: PowerSeries, x, u, slack: float = SLACK) -> float:

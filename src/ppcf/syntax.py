@@ -34,6 +34,7 @@ __all__ = [
     "App", "Lam", "Fix", "Mark",
     "PpcfError", "PpcfSyntaxError", "PpcfTypeError",
     "num", "loop", "free_vars", "all_names", "labels_of", "subst",
+    "children", "rebuild", "subterms", "fold",
     "parse_term", "parse_type", "to_text", "type_to_text",
     "typecheck", "make_mq",
 ]
@@ -178,113 +179,132 @@ def is_loop(t: Term) -> bool:
     )
 
 
-def free_vars(t: Term) -> frozenset[str]:
+# ---------------------------------------------------------------------------
+# term shape: the subterms of each constructor, and walks over them
+
+def children(t: Term) -> tuple[tuple[Term, Optional[tuple[str, Type]]], ...]:
+    """The immediate subterms of t in order, each paired with the binder
+    (name, type) it sits under, or None."""
     cls = type(t)
-    if cls is Var:
-        return frozenset((t.name,))
-    if cls in (Num, Dice):
-        return frozenset()
-    if cls is Succ or cls is Pred:
-        return free_vars(t.arg)
-    if cls is Fix:
-        return free_vars(t.arg)
-    if cls is Mark:
-        return free_vars(t.body)
+    if cls is Num or cls is Var or cls is Dice:
+        return ()
+    if cls is Succ or cls is Pred or cls is Fix:
+        return ((t.arg, None),)
     if cls is App:
-        return free_vars(t.fun) | free_vars(t.arg)
-    if cls is Lam:
-        return free_vars(t.body) - {t.name}
-    if cls is Let:
-        return free_vars(t.bound) | (free_vars(t.body) - {t.name})
+        return ((t.fun, None), (t.arg, None))
     if cls is Ifz:
-        return free_vars(t.scrut) | free_vars(t.zero) | free_vars(t.pos)
+        return ((t.scrut, None), (t.zero, None), (t.pos, None))
+    if cls is Lam:
+        return ((t.body, (t.name, t.ty)),)
+    if cls is Let:
+        return ((t.bound, None), (t.body, (t.name, NAT)))
+    if cls is Mark:
+        return ((t.body, None),)
     raise TypeError(f"not a term: {t!r}")
+
+
+def rebuild(t: Term, kids) -> Term:
+    """t with its subterms replaced by kids (in children order); t itself
+    when every kid is the subterm it replaces."""
+    for k, (c, _) in zip(kids, children(t)):
+        if k is not c:
+            break
+    else:
+        return t
+    cls = type(t)
+    if cls is Lam:
+        return Lam(t.name, t.ty, kids[0])
+    if cls is Let:
+        return Let(t.name, kids[0], kids[1])
+    if cls is Mark:
+        return Mark(kids[0], t.label)
+    return cls(*kids)
+
+
+def subterms(t: Term) -> Iterator[Term]:
+    """t and all its subterms, in preorder."""
+    todo = [t]
+    while todo:
+        s = todo.pop()
+        yield s
+        todo.extend(c for c, _ in reversed(children(s)))
+
+
+def fold(t: Term, post, scope: Optional[dict] = None, pre=None):
+    """Bottom-up over t with an explicit stack, so any depth is fine.
+
+    ``post(s, vals, scope)`` gives the value of subterm s from the values
+    of its children, in children order.  ``pre(s, scope)``, if given, is
+    asked first: a result other than None is s's value, and s's children
+    are not visited.  ``scope`` maps the names bound around s to their
+    types (it starts as the given dict, or empty); it is updated in place
+    around Lam and Let bodies and is back to its starting state when fold
+    returns.
+    """
+    if scope is None:
+        scope = {}
+    # vals holds the values of the first i children of s; a frame holds
+    # an ancestor's state and what the binder of its current child hid
+    stack: list = []
+    s, kids, vals, i = None, ((t, None),), [], 0     # t under a dummy root
+    while True:
+        if i < len(kids):
+            c, b = kids[i]
+            i += 1
+            hidden = None
+            if b is not None:
+                hidden = scope.get(b[0])
+                scope[b[0]] = b[1]
+            r = None if pre is None else pre(c, scope)
+            if r is None:
+                stack.append((s, kids, vals, i, hidden))
+                s, kids, vals, i = c, children(c), [], 0
+                continue
+        elif stack:
+            r = post(s, vals, scope)
+            s, kids, vals, i, hidden = stack.pop()
+        else:
+            return vals[0]
+        b = kids[i - 1][1]
+        if b is not None:
+            if hidden is None:
+                del scope[b[0]]
+            else:
+                scope[b[0]] = hidden
+        vals.append(r)
+
+
+def free_vars(t: Term) -> frozenset[str]:
+    def post(s, vals, scope):
+        if type(s) is Var:
+            return frozenset() if s.name in scope else frozenset((s.name,))
+        return frozenset().union(*vals)
+    return fold(t, post)
 
 
 def all_names(t: Term) -> frozenset[str]:
     """Every variable name occurring in t, free or bound."""
-    cls = type(t)
-    if cls is Var:
-        return frozenset((t.name,))
-    if cls in (Num, Dice):
-        return frozenset()
-    if cls is Succ or cls is Pred or cls is Fix:
-        return all_names(t.arg)
-    if cls is Mark:
-        return all_names(t.body)
-    if cls is App:
-        return all_names(t.fun) | all_names(t.arg)
-    if cls is Lam:
-        return all_names(t.body) | {t.name}
-    if cls is Let:
-        return all_names(t.bound) | all_names(t.body) | {t.name}
-    if cls is Ifz:
-        return all_names(t.scrut) | all_names(t.zero) | all_names(t.pos)
-    raise TypeError(f"not a term: {t!r}")
+    return frozenset(s.name for s in subterms(t)
+                     if type(s) in (Var, Lam, Let))
 
 
 def labels_of(t: Term) -> frozenset[str]:
-    cls = type(t)
-    if cls is Mark:
-        return labels_of(t.body) | {t.label}
-    if cls in (Num, Dice, Var):
-        return frozenset()
-    if cls is Succ or cls is Pred or cls is Fix:
-        return labels_of(t.arg)
-    if cls is App:
-        return labels_of(t.fun) | labels_of(t.arg)
-    if cls is Lam:
-        return labels_of(t.body)
-    if cls is Let:
-        return labels_of(t.bound) | labels_of(t.body)
-    if cls is Ifz:
-        return labels_of(t.scrut) | labels_of(t.zero) | labels_of(t.pos)
-    raise TypeError(f"not a term: {t!r}")
+    return frozenset(s.label for s in subterms(t) if type(s) is Mark)
 
 
 def subst(t: Term, name: str, repl: Term) -> Term:
     """t with repl for free occurrences of name.  repl must be closed,
-    so no capture is possible; binders shadowing name stop the walk."""
-    cls = type(t)
-    if cls is Var:
-        return repl if t.name == name else t
-    if cls in (Num, Dice):
-        return t
-    if cls is Succ:
-        a = subst(t.arg, name, repl)
-        return t if a is t.arg else Succ(a)
-    if cls is Pred:
-        a = subst(t.arg, name, repl)
-        return t if a is t.arg else Pred(a)
-    if cls is Fix:
-        a = subst(t.arg, name, repl)
-        return t if a is t.arg else Fix(a)
-    if cls is Mark:
-        b = subst(t.body, name, repl)
-        return t if b is t.body else Mark(b, t.label)
-    if cls is App:
-        f = subst(t.fun, name, repl)
-        a = subst(t.arg, name, repl)
-        return t if (f is t.fun and a is t.arg) else App(f, a)
-    if cls is Lam:
-        if t.name == name:
-            return t
-        b = subst(t.body, name, repl)
-        return t if b is t.body else Lam(t.name, t.ty, b)
-    if cls is Let:
-        b = subst(t.bound, name, repl)
-        if t.name == name:
-            return t if b is t.bound else Let(t.name, b, t.body)
-        c = subst(t.body, name, repl)
-        return t if (b is t.bound and c is t.body) else Let(t.name, b, c)
-    if cls is Ifz:
-        s = subst(t.scrut, name, repl)
-        z = subst(t.zero, name, repl)
-        p = subst(t.pos, name, repl)
-        if s is t.scrut and z is t.zero and p is t.pos:
-            return t
-        return Ifz(s, z, p)
-    raise TypeError(f"not a term: {t!r}")
+    so no capture is possible; subterms without a free name are shared."""
+    def pre(s, scope):
+        # the machine substitutes on every fresh beta and fix unrolling:
+        # leaves and shadowed bodies are settled without a visit
+        cls = type(s)
+        if name in scope or cls is Num or cls is Dice:
+            return s
+        if cls is Var:
+            return repl if s.name == name else s
+        return None
+    return fold(t, lambda s, vals, scope: rebuild(s, vals), pre=pre)
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +313,6 @@ def subst(t: Term, name: str, repl: Term) -> Term:
 _KEYWORDS = frozenset(
     ["succ", "pred", "dice", "let", "in", "ifz", "then", "else",
      "fix", "mark", "nat"])
-
-_SYMBOLS = ("->", "\\", ":", ".", "(", ")", "[", "]", "=", "/")
-
 
 @dataclass(frozen=True)
 class _Tok:
@@ -360,6 +377,10 @@ def _tokenize(src: str) -> list[_Tok]:
     return toks
 
 
+# prefix operators; mark[l] is one too, read apart for its label
+_PREFIX = {"succ": Succ, "pred": Pred, "fix": Fix}
+
+
 class _Parser:
     def __init__(self, src: str):
         self.toks = _tokenize(src)
@@ -388,6 +409,13 @@ class _Parser:
     def at(self, kind: str, text: str) -> bool:
         t = self.peek()
         return t.kind == kind and t.text == text
+
+    def whole(self, rule):
+        """rule's parse of the whole input."""
+        out = rule(self)
+        if self.peek().kind != "eof":
+            self.fail("trailing input")
+        return out
 
     # -- types ------------------------------------------------------------
 
@@ -446,45 +474,40 @@ class _Parser:
 
     def starts_item(self) -> bool:
         t = self.peek()
-        if t.kind in ("num", "ident"):
-            return True
-        if t.kind == "sym" and t.text == "(":
-            return True
-        if t.kind == "kw" and t.text in ("succ", "pred", "fix", "mark", "dice"):
-            return True
-        return False
-
-    def operand(self) -> Term:
-        # prefix operators accept a trailing lambda without parentheses
-        if self.at("sym", "\\"):
-            return self.term()
-        return self.item()
+        return (t.kind in ("num", "ident") or self.at("sym", "(")
+                or t.kind == "kw" and (t.text in _PREFIX
+                                       or t.text in ("mark", "dice")))
 
     def item(self) -> Term:
-        t = self.peek()
-        if t.kind == "kw":
-            if t.text == "succ":
-                self.next()
-                return Succ(self.operand())
-            if t.text == "pred":
-                self.next()
-                return Pred(self.operand())
-            if t.text == "fix":
-                self.next()
-                return Fix(self.operand())
-            if t.text == "mark":
+        # a prefix chain loops rather than recurses, so it may nest deeply
+        wraps = []
+        while self.peek().kind == "kw":
+            op = self.peek().text
+            if op == "mark":
                 self.next()
                 self.expect("sym", "[")
                 label = self.ident()
                 self.expect("sym", "]")
-                return Mark(self.operand(), label)
-            if t.text == "dice":
+                wraps.append(lambda body, label=label: Mark(body, label))
+            elif op in _PREFIX:
                 self.next()
-                self.expect("sym", "(")
-                rate = self.rational()
-                self.expect("sym", ")")
-                return Dice(rate)
-        return self.atom()
+                wraps.append(_PREFIX[op])
+            else:
+                break
+        # prefix operators accept a trailing lambda without parentheses
+        if wraps and self.at("sym", "\\"):
+            t = self.term()
+        elif self.at("kw", "dice"):
+            self.next()
+            self.expect("sym", "(")
+            rate = self.rational()
+            self.expect("sym", ")")
+            t = Dice(rate)
+        else:
+            t = self.atom()
+        for wrap in reversed(wraps):
+            t = wrap(t)
+        return t
 
     def atom(self) -> Term:
         t = self.peek()
@@ -531,19 +554,11 @@ class _Parser:
 
 
 def parse_term(src: str) -> Term:
-    p = _Parser(src)
-    t = p.term()
-    if p.peek().kind != "eof":
-        p.fail("trailing input")
-    return t
+    return _Parser(src).whole(_Parser.term)
 
 
 def parse_type(src: str) -> Type:
-    p = _Parser(src)
-    ty = p.type_()
-    if p.peek().kind != "eof":
-        p.fail("trailing input")
-    return ty
+    return _Parser(src).whole(_Parser.type_)
 
 
 # ---------------------------------------------------------------------------
@@ -560,44 +575,51 @@ def type_to_text(ty: Type) -> str:
 
 _ATOM, _ITEM, _APP, _TERM = range(4)
 
-
-def _print(t: Term, level: int) -> str:
-    cls = type(t)
-    if cls is Num:
-        return str(t.n)
-    if cls is Var:
-        return t.name
-    if cls is Dice:
-        return f"dice({t.rate})"
-    if cls is Succ:
-        s, need = f"succ {_print(t.arg, _ATOM)}", _ITEM
-    elif cls is Pred:
-        s, need = f"pred {_print(t.arg, _ATOM)}", _ITEM
-    elif cls is Fix:
-        s, need = f"fix {_print(t.arg, _ATOM)}", _ITEM
-    elif cls is Mark:
-        s, need = f"mark[{t.label}] {_print(t.body, _ATOM)}", _ITEM
-    elif cls is App:
-        s, need = f"{_print(t.fun, _APP)} {_print(t.arg, _ITEM)}", _APP
-    elif cls is Lam:
-        s = f"\\{t.name}:{type_to_text(t.ty)}. {_print(t.body, _TERM)}"
-        need = _TERM
-    elif cls is Let:
-        s = (f"let {t.name} = {_print(t.bound, _TERM)} "
-             f"in {_print(t.body, _TERM)}")
-        need = _TERM
-    elif cls is Ifz:
-        s = (f"ifz {_print(t.scrut, _TERM)} then {_print(t.zero, _TERM)} "
-             f"else {_print(t.pos, _TERM)}")
-        need = _TERM
-    else:
-        raise TypeError(f"not a term: {t!r}")
-    return s if need <= level else f"({s})"
+# per constructor: the text of a leaf, or the context level a node needs
+# and its pieces, each text or (subterm, the level it is printed at)
+_PIECES = {
+    Num: lambda s: str(s.n),
+    Var: lambda s: s.name,
+    Dice: lambda s: f"dice({s.rate})",
+    Succ: lambda s: (_ITEM, ["succ ", (s.arg, _ATOM)]),
+    Pred: lambda s: (_ITEM, ["pred ", (s.arg, _ATOM)]),
+    Fix: lambda s: (_ITEM, ["fix ", (s.arg, _ATOM)]),
+    Mark: lambda s: (_ITEM, [f"mark[{s.label}] ", (s.body, _ATOM)]),
+    App: lambda s: (_APP, [(s.fun, _APP), " ", (s.arg, _ITEM)]),
+    Lam: lambda s: (_TERM, [f"\\{s.name}:{s.ty}. ", (s.body, _TERM)]),
+    Let: lambda s: (_TERM, [f"let {s.name} = ", (s.bound, _TERM), " in ",
+                            (s.body, _TERM)]),
+    Ifz: lambda s: (_TERM, ["ifz ", (s.scrut, _TERM), " then ",
+                            (s.zero, _TERM), " else ", (s.pos, _TERM)]),
+}
 
 
 def to_text(t: Term) -> str:
-    """Concrete syntax that parses back to the same tree."""
-    return _print(t, _TERM)
+    """Concrete syntax that parses back to the same tree.
+
+    Prefix operands print in parentheses (``succ (succ 0)``), and the
+    parser recurses through parentheses, so a prefix chain deeper than
+    about 240 prints but does not parse back."""
+    out: list[str] = []
+    todo: list = [(t, _TERM)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        s, level = item
+        pieces = _PIECES.get(type(s))
+        if pieces is None:
+            raise TypeError(f"not a term: {s!r}")
+        r = pieces(s)
+        if type(r) is str:
+            out.append(r)
+            continue
+        need, parts = r
+        if need > level:
+            parts = ["(", *parts, ")"]
+        todo.extend(reversed(parts))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -605,74 +627,54 @@ def to_text(t: Term) -> str:
 
 def typecheck(t: Term, ctx: Optional[Mapping[str, Type]] = None) -> Type:
     """Type of t under ctx, or raise PpcfTypeError."""
-    return _check(t, dict(ctx) if ctx else {})
+    return fold(t, _type_step, dict(ctx) if ctx else {})
 
 
-def _check(t: Term, ctx: dict[str, Type]) -> Type:
+def _type_step(t: Term, kids: list, ctx: dict[str, Type]) -> Type:
+    """Type of t under ctx given the types of its children: the fold
+    step of typecheck, for walks that need types along the way."""
     cls = type(t)
-    if cls is Num:
+    if cls is Num or cls is Dice:
         return NAT
     if cls is Var:
         ty = ctx.get(t.name)
         if ty is None:
             raise PpcfTypeError(f"unbound variable {t.name!r}")
         return ty
-    if cls is Dice:
-        return NAT
     if cls is Succ or cls is Pred:
-        _want(t.arg, NAT, ctx, "argument of succ/pred")
+        _want(t.arg, kids[0], NAT, "argument of succ/pred")
         return NAT
     if cls is Mark:
-        return _check(t.body, ctx)
+        return kids[0]
     if cls is Lam:
-        saved = ctx.get(t.name)
-        ctx[t.name] = t.ty
-        body = _check(t.body, ctx)
-        _restore(ctx, t.name, saved)
-        return Arrow(t.ty, body)
+        return Arrow(t.ty, kids[0])
     if cls is App:
-        fun = _check(t.fun, ctx)
+        fun = kids[0]
         if type(fun) is not Arrow:
             raise PpcfTypeError(
                 f"cannot apply a term of type {fun} in {to_text(t)}")
-        _want(t.arg, fun.dom, ctx, "operand")
+        _want(t.arg, kids[1], fun.dom, "operand")
         return fun.cod
     if cls is Fix:
-        ty = _check(t.arg, ctx)
+        ty = kids[0]
         if type(ty) is not Arrow or ty.dom != ty.cod:
             raise PpcfTypeError(
                 f"fix needs a term of type s -> s, found {ty}")
         return ty.dom
     if cls is Let:
-        _want(t.bound, NAT, ctx, "let binding")
-        saved = ctx.get(t.name)
-        ctx[t.name] = NAT
-        body = _check(t.body, ctx)
-        _restore(ctx, t.name, saved)
-        return body
-    if cls is Ifz:
-        _want(t.scrut, NAT, ctx, "ifz scrutinee")
-        zero = _check(t.zero, ctx)
-        pos = _check(t.pos, ctx)
-        if zero != pos:
-            raise PpcfTypeError(
-                f"ifz branches disagree: {zero} versus {pos}")
-        return zero
-    raise TypeError(f"not a term: {t!r}")
+        _want(t.bound, kids[0], NAT, "let binding")
+        return kids[1]
+    _want(t.scrut, kids[0], NAT, "ifz scrutinee")
+    zero, pos = kids[1], kids[2]
+    if zero != pos:
+        raise PpcfTypeError(f"ifz branches disagree: {zero} versus {pos}")
+    return zero
 
 
-def _want(t: Term, ty: Type, ctx: dict[str, Type], what: str) -> None:
-    found = _check(t, ctx)
+def _want(t: Term, found: Type, ty: Type, what: str) -> None:
     if found != ty:
         raise PpcfTypeError(f"{what} must have type {ty}, found {found} "
                             f"in {to_text(t)}")
-
-
-def _restore(ctx: dict[str, Type], name: str, saved: Optional[Type]) -> None:
-    if saved is None:
-        ctx.pop(name, None)
-    else:
-        ctx[name] = saved
 
 
 # ---------------------------------------------------------------------------

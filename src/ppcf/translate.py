@@ -8,8 +8,10 @@ function of the original evaluated at the gate rates.  ``spy`` replaces
 x_l, turning the gate rate into a semantic argument one can
 differentiate in.
 
-The divergent arm must sit at the type of the marked subterm, so both
-gating translations thread a typing context through the walk.
+All three are ``syntax.fold`` walks, so terms of any depth work.  The
+divergent arm must sit at the type of the marked subterm, so the gating
+translations type every subterm on the way up, and reject a term that
+is ill typed or open.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .syntax import (
-    NAT, App, Dice, Fix, Ifz, Lam, Let, Mark, Num, Pred, PpcfError, Succ,
-    Term, Type, Var, all_names, labels_of, loop, typecheck,
+    Dice, Ifz, Mark, PpcfError, Term, Type, Var, all_names, fold,
+    labels_of, loop, rebuild, _type_step,
 )
 
 __all__ = ["strip", "lcof", "spy", "default_spy_vars"]
@@ -27,78 +29,19 @@ __all__ = ["strip", "lcof", "spy", "default_spy_vars"]
 
 def strip(t: Term) -> Term:
     """t with every mark removed; mark-free subterms are shared."""
-    cls = type(t)
-    if cls is Mark:
-        return strip(t.body)
-    if cls in (Num, Dice, Var):
-        return t
-    if cls is Succ:
-        a = strip(t.arg)
-        return t if a is t.arg else Succ(a)
-    if cls is Pred:
-        a = strip(t.arg)
-        return t if a is t.arg else Pred(a)
-    if cls is Fix:
-        a = strip(t.arg)
-        return t if a is t.arg else Fix(a)
-    if cls is App:
-        f, a = strip(t.fun), strip(t.arg)
-        return t if f is t.fun and a is t.arg else App(f, a)
-    if cls is Lam:
-        b = strip(t.body)
-        return t if b is t.body else Lam(t.name, t.ty, b)
-    if cls is Let:
-        b, s = strip(t.bound), strip(t.body)
-        return t if b is t.bound and s is t.body else Let(t.name, b, s)
-    if cls is Ifz:
-        c, z, p = strip(t.scrut), strip(t.zero), strip(t.pos)
-        if c is t.scrut and z is t.zero and p is t.pos:
-            return t
-        return Ifz(c, z, p)
-    raise TypeError(f"not a term: {t!r}")
+    return fold(t, lambda s, kids, scope:
+                kids[0] if type(s) is Mark else rebuild(s, kids))
 
 
-def _gate(t: Term, ctx: dict[str, Type], head) -> Term:
-    cls = type(t)
-    if cls is Mark:
-        body = _gate(t.body, ctx, head)
-        ty = typecheck(body, ctx)
-        return Ifz(head(t.label), body, loop(ty))
-    if cls in (Num, Dice, Var):
-        return t
-    if cls is Succ:
-        return Succ(_gate(t.arg, ctx, head))
-    if cls is Pred:
-        return Pred(_gate(t.arg, ctx, head))
-    if cls is Fix:
-        return Fix(_gate(t.arg, ctx, head))
-    if cls is App:
-        return App(_gate(t.fun, ctx, head), _gate(t.arg, ctx, head))
-    if cls is Lam:
-        saved = ctx.get(t.name)
-        ctx[t.name] = t.ty
-        body = _gate(t.body, ctx, head)
-        _put(ctx, t.name, saved)
-        return Lam(t.name, t.ty, body)
-    if cls is Let:
-        bound = _gate(t.bound, ctx, head)
-        saved = ctx.get(t.name)
-        ctx[t.name] = NAT
-        body = _gate(t.body, ctx, head)
-        _put(ctx, t.name, saved)
-        return Let(t.name, bound, body)
-    if cls is Ifz:
-        return Ifz(_gate(t.scrut, ctx, head),
-                   _gate(t.zero, ctx, head),
-                   _gate(t.pos, ctx, head))
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _put(ctx: dict, name: str, saved) -> None:
-    if saved is None:
-        ctx.pop(name, None)
-    else:
-        ctx[name] = saved
+def _gate(t: Term, head) -> Term:
+    # each subterm's value is (gated subterm, its type); gating keeps
+    # types, so typing the original node gives the divergent arm's type
+    def post(s: Term, kids: list, scope: dict) -> tuple[Term, Type]:
+        ty = _type_step(s, [k[1] for k in kids], scope)
+        if type(s) is Mark:
+            return Ifz(head(s.label), kids[0][0], loop(ty)), ty
+        return rebuild(s, [k[0] for k in kids]), ty
+    return fold(t, post)[0]
 
 
 def lcof(t: Term, rates: Mapping[str, Fraction]) -> Term:
@@ -110,7 +53,7 @@ def lcof(t: Term, rates: Mapping[str, Fraction]) -> Term:
     for l, r in exact.items():
         if not (0 <= r <= 1):
             raise PpcfError(f"rate for {l!r} must lie in [0,1], got {r}")
-    return _gate(t, {}, lambda l: Dice(exact[l]))
+    return _gate(t, lambda l: Dice(exact[l]))
 
 
 def default_spy_vars(t: Term) -> dict[str, str]:
@@ -144,7 +87,4 @@ def spy(t: Term, variables: Optional[Mapping[str, str]] = None) -> Term:
                         "names in the term")
     if len(set(variables.values())) < len(set(variables)):
         raise PpcfError("spy variables must be pairwise distinct")
-    # gated bodies mention the spy variables, so nested marks typecheck
-    # only with them in scope
-    ctx: dict = {name: NAT for name in variables.values()}
-    return _gate(t, ctx, lambda l: Var(variables[l]))
+    return _gate(t, lambda l: Var(variables[l]))

@@ -114,11 +114,21 @@ def test_parse_and_type_errors_exit_2(capsys, tmp_path):
     ["eval", "geo", "--max-choices", "-1"],
     ["expect", "mq025_marked", "--label", "t", "--method", "mc",
      "--max-steps", "0"],
+    ["check", "lipschitz", "--trials", "-3"],
+    ["check", "adequacy", "--trials", "0"],
+    ["check", "chain", "--trials", "0"],
+    ["check", "distance", "--trials", "-1"],
+    ["check", "lipschitz", "--p", "7", "--trials", "5"],
+    ["check", "chain", "--p", "7"],
+    ["check", "distance", "--p", "0", "--trials", "5"],
+    ["check", "adequacy", "--p", "1", "--trials", "1"],
+    ["check", "tamed", "--p", "nan"],
 ])
 def test_bad_settings_exit_2(programs, argv):
     # in a fresh process with a timeout: a tolerance of 0 used to make
     # the Kleene iteration run forever
-    argv = [argv[0], programs(argv[1]), *argv[2:]]
+    if argv[0] != "check":
+        argv = [argv[0], programs(argv[1]), *argv[2:]]
     r = subprocess.run([sys.executable, "-m", "ppcf.cli", "--quiet", *argv],
                        capture_output=True, text=True, timeout=60)
     assert r.returncode == 2
@@ -127,12 +137,35 @@ def test_bad_settings_exit_2(programs, argv):
 
 
 def test_deep_input_exits_2(capsys, programs):
-    src = programs("deep", "succ " * 10_000 + "0")
-    assert main(["--quiet", "eval", src]) == 2
+    # the parser recurses through parentheses, the evaluator on the term
+    for cmd, text in [("eval", "(" * 10_000 + "0" + ")" * 10_000),
+                      ("denot", "succ " * 10_000 + "0")]:
+        assert main(["--quiet", cmd, programs("deep", text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "BAD"],
+    ["denot", "BAD"],
+    ["expect", "BAD", "--label", "t"],
+    ["dist", "BAD", "GOOD"],
+    ["translate", "BAD", "--mode", "strip"],
+    ["check", "tamed", "--left", "BAD"],
+    ["check", "tamed", "--contexts", "BAD"],
+    ["check", "tamed", "--contexts", "MISSING"],
+])
+def test_unreadable_input_exits_2(capsys, tmp_path, programs, argv):
+    bad = tmp_path / "latin1.ppcf"
+    bad.write_bytes("# caf\xe9\n0\n".encode("latin-1"))
+    files = {"BAD": str(bad), "GOOD": programs("zero"),
+             "MISSING": str(tmp_path / "missing.ctx")}
+    assert main(["--quiet", *(files.get(a, a) for a in argv)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
-    assert "Traceback" not in captured.err
 
 
 def test_denot_ground(capsys, programs):

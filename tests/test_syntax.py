@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from ppcf.progen import gen_program
+from ppcf.machine import enumerate_paths, init_state
+from ppcf.progen import gen_corpus, gen_program
 from ppcf.syntax import (
     NAT, App, Arrow, Dice, Fix, Ifz, Lam, Let, Mark, Num, Pred,
-    PpcfSyntaxError, PpcfTypeError, Succ, Var, all_names, free_vars,
-    is_loop, labels_of, loop, make_mq, num, parse_term, parse_type,
-    subst, to_text, type_to_text, typecheck,
+    PpcfSyntaxError, PpcfTypeError, Succ, Var, all_names, children, fold,
+    free_vars, is_loop, labels_of, loop, make_mq, num, parse_term,
+    parse_type, rebuild, subst, subterms, to_text, type_to_text, typecheck,
 )
+from ppcf.translate import spy, strip
 
 
 def test_numerals_interned():
@@ -169,3 +171,110 @@ def test_subst_shadowing():
 def test_subst_shares_unchanged_nodes():
     t = parse_term("ifz y then 0 else succ 0")
     assert subst(t, "x", num(5)) is t
+
+
+@pytest.mark.parametrize("src, msg", [
+    ("x", "unbound variable 'x'"),
+    ("succ (\\x:nat. x)", "argument of succ/pred must have type nat, "
+                          "found nat -> nat in \\x:nat. x"),
+    ("ifz (\\x:nat. x) then 0 else 1", "ifz scrutinee must have type nat, "
+                                      "found nat -> nat in \\x:nat. x"),
+    ("0 1", "cannot apply a term of type nat in 0 1"),
+    ("let f = \\x:nat. x in 0", "let binding must have type nat, "
+                                 "found nat -> nat in \\x:nat. x"),
+    ("(\\f:nat -> nat. f) 0", "operand must have type nat -> nat, "
+                             "found nat in 0"),
+    ("fix (\\x:nat. \\y:nat. x)",
+     "fix needs a term of type s -> s, found nat -> nat -> nat"),
+    ("ifz 0 then 0 else \\x:nat. x",
+     "ifz branches disagree: nat versus nat -> nat"),
+])
+def test_type_error_messages(src, msg):
+    with pytest.raises(PpcfTypeError) as e:
+        typecheck(parse_term(src))
+    assert str(e.value) == msg
+
+
+def test_rebuild_with_same_children_is_identity():
+    for t in gen_corpus(50, 20260814, labeled=True):
+        for s in subterms(t):
+            assert rebuild(s, [c for c, _ in children(s)]) is s
+
+
+def test_children_binders_and_rebuild():
+    t = parse_term(r"let y = 1 in \x:nat -> nat. mark[l] x y")
+    (bound, b0), (lam, b1) = children(t)
+    assert (bound, b0, b1) == (num(1), None, ("y", NAT))
+    assert children(lam) == ((lam.body, ("x", Arrow(NAT, NAT))),)
+    assert rebuild(t, [num(2), lam]) == Let("y", num(2), lam)
+    mark = lam.body.fun
+    assert rebuild(mark, [Var("z")]) == Mark(Var("z"), "l")
+    assert [type(s).__name__ for s in subterms(t)] == \
+        ["Let", "Num", "Lam", "App", "Mark", "Var", "Var"]
+
+
+def test_fold_scope():
+    # a subterm sees each name at the type of its innermost binder, and
+    # the starting scope is left as it was
+    t = parse_term(r"\x:nat. let x = x in \y:nat -> nat. x")
+    seen = []
+
+    def post(s, vals, scope):
+        if type(s) is Var:
+            seen.append(dict(scope))
+        return None
+
+    ctx = {"x": Arrow(NAT, NAT)}
+    fold(t, post, ctx)
+    assert ctx == {"x": Arrow(NAT, NAT)}
+    assert seen == [{"x": NAT}, {"x": NAT, "y": Arrow(NAT, NAT)}]
+
+
+def test_fold_pre_settles_without_visiting():
+    # pre's value stands for the whole subterm; the binders it sat under
+    # leave the scope all the same
+    t = parse_term(r"\x:nat. let y = succ x in \z:nat. pred y")
+    visited, scopes = [], []
+
+    def pre(s, scope):
+        if type(s) in (Succ, Pred):
+            scopes.append(dict(scope))
+            return type(s).__name__
+        return None
+
+    def post(s, vals, scope):
+        visited.append(type(s).__name__)
+        return vals
+
+    ctx = {"w": NAT}
+    assert fold(t, post, ctx, pre) == [["Succ", ["Pred"]]]
+    assert ctx == {"w": NAT}
+    assert visited == ["Lam", "Let", "Lam"]      # bottom-up
+    assert scopes == [{"w": NAT, "x": NAT},
+                      {"w": NAT, "x": NAT, "y": NAT, "z": NAT}]
+
+
+def test_subst_removes_exactly_the_free_name():
+    for t in gen_corpus(50, 20260814, labeled=True):
+        for s in subterms(t):
+            if type(s) is Lam:
+                for name in free_vars(s.body) | {s.name}:
+                    out = subst(s.body, name, num(7))
+                    assert free_vars(out) == free_vars(s.body) - {name}
+                    if name not in free_vars(s.body):
+                        assert out is s.body
+
+
+def test_deep_prefix_chain():
+    # 10^5 nested prefix operators: nothing on the way recurses
+    n = 100_000
+    t = parse_term("succ " * n + "mark[a] 0")
+    assert typecheck(t) == NAT
+    text = to_text(t)
+    assert text == "succ (" * n + "mark[a] 0" + ")" * n
+    stripped = strip(t)
+    assert labels_of(stripped) == frozenset()
+    assert free_vars(spy(t)) == {"r_a"}
+    assert free_vars(t) == frozenset() and labels_of(t) == {"a"}
+    res = enumerate_paths(init_state(t))
+    assert res.rejected_mass == 1 and res.open_mass == 0

@@ -6,8 +6,8 @@ from ppcf.machine import enumerate_paths, init_state
 from ppcf.progen import gen_corpus
 from ppcf.semantics import SemConfig, prob_zero, spy_denot, sval
 from ppcf.syntax import (
-    NAT, Arrow, Dice, Ifz, Mark, PpcfError, Var, free_vars, labels_of,
-    parse_term, typecheck,
+    NAT, Arrow, Dice, Ifz, Mark, PpcfError, PpcfTypeError, Var, free_vars,
+    labels_of, parse_term, subterms, typecheck,
 )
 from ppcf.translate import default_spy_vars, lcof, spy, strip
 
@@ -119,3 +119,24 @@ def test_spy_denotation_matches_lcof():
     via_spy = sval(spy_denot(LETPAIR, rates, None, cfg).dist.mass0())
     via_lcof = prob_zero(lcof(LETPAIR, rates), cfg)
     assert abs(via_spy - via_lcof) < 1e-9
+
+
+@pytest.mark.parametrize("src", [
+    "0 1", "mark[a] x", "succ (mark[a] \\x:nat. x)",
+])
+def test_gating_rejects_ill_typed_or_open(src):
+    t = parse_term(src)
+    with pytest.raises(PpcfTypeError):
+        spy(t)
+    with pytest.raises(PpcfTypeError):
+        lcof(t, {"a": Fraction(1, 2)})
+
+
+def test_nested_marks_gate_in_one_pass():
+    # typing each gated body again would take minutes at this depth
+    n = 10_000
+    t = parse_term("mark[a] " * n + "0")
+    out = spy(t)
+    assert typecheck(out, {"r_a": NAT}) == NAT
+    assert sum(type(s) is Ifz for s in subterms(out)) == n
+    assert sum(type(s) is Dice for s in subterms(lcof(t, {"a": 1}))) == n
