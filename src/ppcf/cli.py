@@ -56,10 +56,6 @@ def _load(path: str):
     return t
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def _rate_map(pairs, what="--rate"):
     out = {}
     for item in pairs or ():
@@ -123,7 +119,11 @@ def _max_steps(args, default: int) -> int:
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("PPCF_SEED", "0"))
+    raw = os.environ.get("PPCF_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise PpcfError(f"PPCF_SEED must be an integer, got {raw!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,7 @@ def cmd_eval(args) -> int:
             _emit({"mode": "run", "accepted": False})
         else:
             _emit({"mode": "run", "accepted": True,
-                   "choices": rec.choices, "weight": _frac(rec.weight),
+                   "choices": rec.choices, "weight": str(rec.weight),
                    "labels": dict(sorted(rec.labels.items())),
                    "steps": rec.steps})
         return 0
@@ -175,13 +175,13 @@ def cmd_eval(args) -> int:
                                   max_choices=args.max_choices)
     _emit({
         "mode": "exhaustive",
-        "paths": [{"choices": p.choices, "weight": _frac(p.weight),
+        "paths": [{"choices": p.choices, "weight": str(p.weight),
                    "labels": dict(sorted(p.labels.items()))}
                   for p in res.paths],
-        "converged_mass": _frac(res.converged_mass),
-        "open_mass": _frac(res.open_mass),
-        "rejected_mass": _frac(res.rejected_mass),
-        "diverged_mass": _frac(res.diverged_mass),
+        "converged_mass": str(res.converged_mass),
+        "open_mass": str(res.open_mass),
+        "rejected_mass": str(res.rejected_mass),
+        "diverged_mass": str(res.diverged_mass),
     })
     if not res.paths and res.open_mass > 0:
         return EXIT_EMPTY
@@ -192,21 +192,17 @@ def cmd_denot(args) -> int:
     t = _load(args.file)
     cfg = _sem_config(args)
     labels = labels_of(t)
-    try:
-        if labels:
-            rates = _rate_map(args.rate)
-            missing = labels - rates.keys()
-            if missing:
-                print(f"error: labels without --rate: {sorted(missing)}",
-                      file=sys.stderr)
-                return EXIT_USAGE
-            seed = set(labels) if args.seed_labels else set()
-            res = semantics.spy_denot(t, rates, seed, cfg)
-        else:
-            res = semantics.ground_denot(t, None, cfg)
-    except PpcfError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    if labels:
+        rates = _rate_map(args.rate)
+        missing = labels - rates.keys()
+        if missing:
+            print(f"error: labels without --rate: {sorted(missing)}",
+                  file=sys.stderr)
+            return EXIT_USAGE
+        seed = set(labels) if args.seed_labels else set()
+        res = semantics.spy_denot(t, rates, seed, cfg)
+    else:
+        res = semantics.ground_denot(t, None, cfg)
     _emit({"dist": _dist_json(res.dist), "converged": res.converged,
            "depth": res.depth})
     return 0
@@ -250,38 +246,29 @@ def cmd_expect(args) -> int:
 
 def cmd_dist(args) -> int:
     t1, t2 = _load(args.left), _load(args.right)
-    cfg = _sem_config(args)
-    try:
-        d = pcs.denot_dist_nat(strip(t1), strip(t2), cfg)
-    except PpcfError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    d = pcs.denot_dist_nat(strip(t1), strip(t2), _sem_config(args))
     _emit({"distance": d})
     return 0
 
 
 def cmd_translate(args) -> int:
     t = _load(args.file)
-    try:
-        if args.mode == "strip":
-            out = strip(t)
-        elif args.mode == "lcof":
-            out = lcof(t, _rate_map(args.rate))
-        else:
-            varmap = None
-            if args.var:
-                varmap = {}
-                for item in args.var:
-                    if "=" not in item:
-                        print(f"error: --var expects label=name, got "
-                              f"{item!r}", file=sys.stderr)
-                        return EXIT_USAGE
-                    k, v = item.split("=", 1)
-                    varmap[k] = v
-            out = spy(t, varmap)
-    except PpcfError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.mode == "strip":
+        out = strip(t)
+    elif args.mode == "lcof":
+        out = lcof(t, _rate_map(args.rate))
+    else:
+        varmap = None
+        if args.var:
+            varmap = {}
+            for item in args.var:
+                if "=" not in item:
+                    print(f"error: --var expects label=name, got {item!r}",
+                          file=sys.stderr)
+                    return EXIT_USAGE
+                k, v = item.split("=", 1)
+                varmap[k] = v
+        out = spy(t, varmap)
     _emit({"mode": args.mode, "term": to_text(out)})
     return 0
 
@@ -368,9 +355,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--max-choices", type=_nonneg_int,
                    default=machine.DEFAULT_MAX_CHOICES)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=0,
-                   help="sampling parallelism hint; seeds are split per "
-                        "sample so results do not depend on it")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("denot", help="denotation of a ground program")
@@ -392,7 +376,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive_int, default=10_000)
     p.add_argument("--max-steps", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=0)
     p.set_defaults(fn=cmd_expect)
 
     p = sub.add_parser("dist",
@@ -419,7 +402,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--contexts", default=None)
     p.add_argument("--left", default=None)
     p.add_argument("--right", default=None)
-    p.add_argument("--jobs", type=int, default=0)
     p.set_defaults(fn=cmd_check)
     return ap
 

@@ -1,13 +1,16 @@
 """Stack machine over explicit choice sequences.
 
-A state is a closed focus term together with a stack of evaluation
-frames.  All randomness is externalised: every ``dice(r)`` consumes one
-bit from a choice sequence, contributing a factor ``r`` when the bit is
-0 (the coin shows 0) and ``1 - r`` when the bit is 1.  A run *accepts*
-when it ends in numeral 0 on an empty stack with the whole sequence
-consumed; its weight is the product of the factors along the way, an
-exact rational.  ``mark[l] M`` steps to ``M`` while bumping the count
-of label ``l``.
+A state is a closed focus term together with a stack of frame nodes:
+each frame is the ``App``, ``Fix``, ``Ifz``, ``Let``, ``Succ`` or
+``Pred`` node whose first subterm is being evaluated, so the node
+itself says what to do with the value that comes back.  All randomness
+is externalised: every ``dice(r)`` consumes one bit from a choice
+sequence, contributing a factor ``r`` when the bit is 0 (the coin shows
+0) and ``1 - r`` when the bit is 1; the flip is one machine step.  A
+run *accepts* when it ends in numeral 0 on an empty stack with the
+whole sequence consumed; its weight is the product of the factors along
+the way, an exact rational.  ``mark[l] M`` steps to ``M`` while bumping
+the count of label ``l``.
 
 On top of the single-run evaluator this module provides exhaustive
 enumeration of choice prefixes (exact converged and open masses),
@@ -28,15 +31,15 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .syntax import (
-    NAT, App, Arrow, Dice, Fix, Ifz, Lam, Let, Mark, Num, Pred, PpcfError,
-    PpcfTypeError, Succ, Term, Type, Var, num, subst, typecheck,
+    App, Dice, Fix, Ifz, Lam, Let, Mark, Num, Pred, PpcfError,
+    PpcfTypeError, Succ, Term, Type, Var, children, num, rebuild, subst,
+    typecheck,
 )
 
 __all__ = [
-    "ArgFrame", "SuccFrame", "PredFrame", "IfzFrame", "LetFrame", "Frame",
     "State", "PathRecord", "EnumerationResult", "SampleRecord",
     "CountEstimate", "init_state", "state_type", "run", "sample",
     "enumerate_paths", "estimate_conditional_count", "split_seed",
@@ -46,81 +49,87 @@ __all__ = [
 DEFAULT_MAX_STEPS = 10 ** 6
 DEFAULT_MAX_CHOICES = 64
 
-
-@dataclass(frozen=True, slots=True)
-class ArgFrame:
-    term: Term
+_TWO53 = 1 << 53
 
 
-@dataclass(frozen=True, slots=True)
-class SuccFrame:
-    pass
+class _SubstCache:
+    """Memo of substitutions and coin thresholds for one start state.
 
+    Machine runs substitute the same (body, name, argument) triple over
+    and over (every fix unrolling, every beta with a shared argument
+    node) and flip coins of the same rate object, in one run and across
+    the runs of one start state, so each ``State`` owns one memo for
+    every run, sample and enumeration started from it.  Both tables are
+    keyed by object identity; keeping strong references to the keyed
+    objects pins their ids.  A copied or unpickled state would carry
+    ids of objects it does not hold, so the memo pickles and deep-copies
+    as an empty one.
+    """
 
-@dataclass(frozen=True, slots=True)
-class PredFrame:
-    pass
+    __slots__ = ("table", "coins", "pinned")
 
+    def __init__(self) -> None:
+        self.table: dict[tuple[int, str, int], tuple] = {}
+        self.coins: dict[int, float] = {}       # id(rate) -> threshold
+        self.pinned: list = []                  # the rates in coins
 
-@dataclass(frozen=True, slots=True)
-class IfzFrame:
-    zero: Term
-    pos: Term
+    def __reduce__(self):
+        return (_SubstCache, ())
 
+    def subst(self, t: Term, name: str, s: Term) -> Term:
+        key = (id(t), name, id(s))
+        hit = self.table.get(key)
+        if hit is not None:
+            return hit[2]
+        r = subst(t, name, s)
+        self.table[key] = (t, s, r)
+        return r
 
-@dataclass(frozen=True, slots=True)
-class LetFrame:
-    name: str
-    body: Term
+    def threshold(self, r: Fraction) -> float:
+        """The float ``c / 2**53`` with ``c = ceil(r * 2**53)``.
 
-
-Frame = Union[ArgFrame, SuccFrame, PredFrame, IfzFrame, LetFrame]
-
-_SUCC = SuccFrame()
-_PRED = PredFrame()
+        ``random.Random.random()`` returns ``k / 2**53`` for an integer
+        ``k``, and for integer ``k``, ``k < r * 2**53`` exactly when
+        ``k < c``.  Both sides are multiples of ``2**-53`` that a float
+        holds exactly (``c <= 2**53`` as ``r <= 1``), so
+        ``random() < threshold(r)`` decides ``random() < r`` without
+        rational arithmetic.  ``float(r)`` would not: at ``r = 2/3`` it
+        rounds down onto a value ``random()`` can return.
+        """
+        thr = math.ceil(r * _TWO53) / _TWO53
+        self.coins[id(r)] = thr
+        self.pinned.append(r)
+        return thr
 
 
 @dataclass(frozen=True)
 class State:
     focus: Term
-    frames: tuple[Frame, ...] = ()      # top of stack first
+    frames: tuple[Term, ...] = ()       # frame nodes, top of stack first
+    cache: _SubstCache = field(default_factory=_SubstCache, init=False,
+                               compare=False, repr=False)
 
 
 def init_state(t: Term) -> State:
-    return State(t, ())
+    return State(t)
 
 
 def state_type(state: State) -> Type:
-    """Observation type of a state; checks every frame against the focus.
+    """Observation type of a state: the type of the term obtained by
+    putting the focus back into each frame node in turn.
 
     Acceptance is only possible for states whose observation type is nat.
     """
-    ty = typecheck(state.focus)
+    t = state.focus
     for fr in state.frames:
         cls = type(fr)
-        if cls is ArgFrame:
-            if type(ty) is not Arrow:
-                raise PpcfTypeError(f"argument frame over type {ty}")
-            if typecheck(fr.term) != ty.dom:
-                raise PpcfTypeError("argument frame operand type mismatch")
-            ty = ty.cod
-        elif cls is SuccFrame or cls is PredFrame:
-            if ty != NAT:
-                raise PpcfTypeError(f"succ/pred frame over type {ty}")
-        elif cls is IfzFrame:
-            if ty != NAT:
-                raise PpcfTypeError(f"ifz frame over type {ty}")
-            zero = typecheck(fr.zero)
-            if zero != typecheck(fr.pos):
-                raise PpcfTypeError("ifz frame branches disagree")
-            ty = zero
-        elif cls is LetFrame:
-            if ty != NAT:
-                raise PpcfTypeError(f"let frame over type {ty}")
-            ty = typecheck(fr.body, {fr.name: NAT})
+        if cls is Fix:
+            t = App(t, fr)
+        elif cls in (App, Ifz, Let, Succ, Pred):
+            t = rebuild(fr, [t, *(c for c, _ in children(fr)[1:])])
         else:
             raise PpcfTypeError(f"not a frame: {fr!r}")
-    return ty
+    return typecheck(t)
 
 
 @dataclass(frozen=True)
@@ -165,79 +174,13 @@ class CountEstimate:
 # ---------------------------------------------------------------------------
 # core stepping
 
-_TWO53 = 1 << 53
-
-
-class _SubstCache:
-    """Per-run memo of substitutions, frames and coin thresholds.
-
-    Machine runs substitute the same (body, name, argument) triple over
-    and over (every fix unrolling, every beta with a shared argument
-    node), push the same frame for the same ``App``, ``Ifz``, ``Fix`` or
-    ``Let`` node (frames are immutable, so one per node serves), and
-    flip coins of the same rate object.  All three tables are keyed by
-    object identity; keeping strong references to the keyed objects
-    pins their ids.
-    """
-
-    __slots__ = ("table", "frames", "coins", "pinned")
-
-    def __init__(self) -> None:
-        self.table: dict[tuple[int, str, int], tuple] = {}
-        self.frames: dict[int, Frame] = {}      # id(node) -> its frame
-        self.coins: dict[int, float] = {}       # id(rate) -> threshold
-        self.pinned: list = []                  # keys of frames and coins
-
-    def subst(self, t: Term, name: str, s: Term) -> Term:
-        key = (id(t), name, id(s))
-        hit = self.table.get(key)
-        if hit is not None:
-            return hit[2]
-        r = subst(t, name, s)
-        self.table[key] = (t, s, r)
-        return r
-
-    def frame(self, t: Term) -> Frame:
-        """The frame pushed when stepping into t's first subterm."""
-        cls = type(t)
-        if cls is App:
-            fr = ArgFrame(t.arg)
-        elif cls is Ifz:
-            fr = IfzFrame(t.zero, t.pos)
-        elif cls is Fix:
-            fr = ArgFrame(t)
-        else:
-            fr = LetFrame(t.name, t.body)
-        self.frames[id(t)] = fr
-        self.pinned.append(t)
-        return fr
-
-    def threshold(self, r: Fraction) -> float:
-        """The float ``c / 2**53`` with ``c = ceil(r * 2**53)``.
-
-        ``random.Random.random()`` returns ``k / 2**53`` for an integer
-        ``k``, and for integer ``k``, ``k < r * 2**53`` exactly when
-        ``k < c``.  Both sides are multiples of ``2**-53`` that a float
-        holds exactly (``c <= 2**53`` as ``r <= 1``), so
-        ``random() < threshold(r)`` decides ``random() < r`` without
-        rational arithmetic.  ``float(r)`` would not: at ``r = 2/3`` it
-        rounds down onto a value ``random()`` can return.
-        """
-        thr = math.ceil(r * _TWO53) / _TWO53
-        self.coins[id(r)] = thr
-        self.pinned.append(r)
-        return thr
-
-
 # Every outcome of _advance is a 4-tuple (kind, value, stack, steps):
-# ("dice", rate, stack, steps) at a coin, ("done", n, None, steps) on a
-# numeral over the empty stack, and ("open" | "cycle" | "stuck", None,
-# stack, steps) otherwise.
+# ("dice", rate, stack, steps) at a coin, whose flip is already counted
+# as a step, ("done", n, None, steps) on a numeral over the empty stack,
+# and ("open" | "cycle" | "stuck", None, stack, steps) otherwise.
 def _advance(focus, stack, labels, steps, max_steps, cache, on_state=None):
     """Run deterministically until a coin, a terminal, or the budget."""
     sub = cache.subst
-    frames = cache.frames
-    frame = cache.frame
     f1 = s1 = f2 = s2 = None        # the two previous states
     while True:
         if on_state is not None:
@@ -255,42 +198,43 @@ def _advance(focus, stack, labels, steps, max_steps, cache, on_state=None):
                 return ("done", focus.n, None, steps)
             fr, stack = stack
             fcls = type(fr)
-            if fcls is IfzFrame:
+            if fcls is Ifz:
                 focus = fr.zero if focus.n == 0 else fr.pos
-            elif fcls is ArgFrame:
-                return ("stuck", None, stack, steps)
-            elif fcls is SuccFrame:
+            elif fcls is Succ:
                 focus = num(focus.n + 1)
-            elif fcls is PredFrame:
+            elif fcls is Pred:
                 focus = num(focus.n - 1 if focus.n else 0)
-            else:  # LetFrame
+            elif fcls is Let:
                 focus = sub(fr.body, fr.name, focus)
+            else:  # App or Fix: a numeral applied to an argument
+                return ("stuck", None, stack, steps)
         elif cls is App:
-            stack = (frames.get(id(focus)) or frame(focus), stack)
+            stack = (focus, stack)
             focus = focus.fun
         elif cls is Lam:
             if stack is None:
                 return ("stuck", None, None, steps)
             fr, stack = stack
-            if type(fr) is not ArgFrame:
+            fcls = type(fr)
+            if fcls is App:
+                focus = sub(focus.body, focus.name, fr.arg)
+            elif fcls is Fix:
+                focus = sub(focus.body, focus.name, fr)
+            else:
                 return ("stuck", None, stack, steps)
-            focus = sub(focus.body, focus.name, fr.term)
         elif cls is Ifz:
-            stack = (frames.get(id(focus)) or frame(focus), stack)
+            stack = (focus, stack)
             focus = focus.scrut
-        elif cls is Fix:
-            stack = (frames.get(id(focus)) or frame(focus), stack)
+        elif cls is Fix or cls is Succ or cls is Pred:
+            stack = (focus, stack)
             focus = focus.arg
         elif cls is Dice:
+            steps += 1
+            if steps >= max_steps:
+                return ("open", None, stack, steps)
             return ("dice", focus.rate, stack, steps)
-        elif cls is Succ:
-            stack = (_SUCC, stack)
-            focus = focus.arg
-        elif cls is Pred:
-            stack = (_PRED, stack)
-            focus = focus.arg
         elif cls is Let:
-            stack = (frames.get(id(focus)) or frame(focus), stack)
+            stack = (focus, stack)
             focus = focus.bound
         elif cls is Mark:
             labels[focus.label] = labels.get(focus.label, 0) + 1
@@ -306,7 +250,7 @@ def _advance(focus, stack, labels, steps, max_steps, cache, on_state=None):
             return ("open", None, stack, steps)
 
 
-def _link(frames: Sequence[Frame]):
+def _link(frames: Sequence[Term]):
     stack = None
     for fr in reversed(frames):
         stack = (fr, stack)
@@ -345,7 +289,6 @@ def run(state: State,
     """
     _check_budget(max_steps)
     bits = _bits(choices)
-    cache = _SubstCache()
     labels: dict[str, int] = {}
     focus, stack = state.focus, _link(state.frames)
     weight = Fraction(1)
@@ -353,7 +296,7 @@ def run(state: State,
     pos = 0
     while True:
         kind, val, stack, steps = _advance(
-            focus, stack, labels, steps, max_steps, cache, on_state)
+            focus, stack, labels, steps, max_steps, state.cache, on_state)
         if kind == "dice":
             if pos >= len(bits):
                 return None
@@ -361,9 +304,6 @@ def run(state: State,
             pos += 1
             weight *= val if b == 0 else 1 - val
             focus = num(b)
-            steps += 1
-            if steps >= max_steps:
-                return None
         elif kind == "done":
             if val == 0 and pos == len(bits):
                 return PathRecord("".join(map(str, bits)), weight,
@@ -378,15 +318,14 @@ def sample(state: State,
            max_steps: int = DEFAULT_MAX_STEPS) -> SampleRecord:
     """One probabilistic run, drawing a bit at every coin."""
     _check_budget(max_steps)
-    rng = random.Random(seed)
-    cache = _SubstCache()
-    return _sample(state, rng, max_steps, cache)
+    return _sample(state, random.Random(seed), max_steps)
 
 
-def _sample(state, rng, max_steps, cache) -> SampleRecord:
+def _sample(state, rng, max_steps) -> SampleRecord:
     labels: dict[str, int] = {}
     focus, stack = state.focus, _link(state.frames)
     steps = 0
+    cache = state.cache
     coins = cache.coins
     zero, one = num(0), num(1)
     while True:
@@ -397,9 +336,6 @@ def _sample(state, rng, max_steps, cache) -> SampleRecord:
             if thr is None:
                 thr = cache.threshold(val)
             focus = zero if rng.random() < thr else one
-            steps += 1
-            if steps >= max_steps:
-                return SampleRecord(False, None, labels, steps)
         elif kind == "done":
             return SampleRecord(val == 0, val, labels, steps)
         else:
@@ -419,7 +355,7 @@ def enumerate_paths(state: State,
     of probability zero are not explored.
     """
     _check_budget(max_steps, max_choices)
-    cache = _SubstCache()
+    cache = state.cache
     converged = Fraction(0)
     open_ = Fraction(0)
     rejected = Fraction(0)
@@ -432,10 +368,6 @@ def enumerate_paths(state: State,
             focus, stack, labels, steps, max_steps, cache)
         if kind == "dice":
             if len(bits) >= max_choices:
-                open_ += weight
-                continue
-            steps += 1
-            if steps >= max_steps:
                 open_ += weight
                 continue
             if val != 1:
@@ -483,11 +415,9 @@ def estimate_conditional_count(t: Term,
         raise PpcfError("need at least one sample")
     _check_budget(max_steps)
     state = init_state(t)
-    cache = _SubstCache()
     counts: list[int] = []
     for i in range(n):
-        rng = random.Random(split_seed(seed, i))
-        rec = _sample(state, rng, max_steps, cache)
+        rec = _sample(state, random.Random(split_seed(seed, i)), max_steps)
         if rec.converged:
             counts.append(rec.labels.get(label, 0))
     k = len(counts)

@@ -364,8 +364,7 @@ class ChainReport:
         return self.max_err <= self.tol
 
 
-def chain_rule_check(s: PowerSeries, t: PowerSeries, x, u,
-                     tol: float = 1e-9) -> float:
+def chain_rule_check(s: PowerSeries, t: PowerSeries, x, u) -> float:
     """|(t o s)'(x) u  -  Dt(s(x)) (Ds(x) u)|, sup over outputs.
 
     The left side is computed by running both series on dual scalars

@@ -83,6 +83,20 @@ def test_eval_sampling_env_seed(capsys, programs, monkeypatch):
     assert a == b
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "chain", "--trials", "1"],
+    ["eval", "dice010", "--samples", "3"],
+])
+def test_bad_env_seed_exits_2(capsys, programs, monkeypatch, argv):
+    monkeypatch.setenv("PPCF_SEED", "abc")
+    if argv[0] == "eval":
+        argv = [argv[0], programs(argv[1]), *argv[2:]]
+    assert main(["--quiet", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: PPCF_SEED must be an integer, got 'abc'\n"
+
+
 def test_eval_all_cut_exits_3(capsys, programs):
     rc, out = run_cli(capsys, "eval", programs("loop"),
                       "--samples", "5", "--max-steps", "40")
@@ -123,6 +137,7 @@ def test_parse_and_type_errors_exit_2(capsys, tmp_path):
     ["check", "distance", "--p", "0", "--trials", "5"],
     ["check", "adequacy", "--p", "1", "--trials", "1"],
     ["check", "tamed", "--p", "nan"],
+    ["eval", "geo", "--samples", "5", "--jobs", "2"],
 ])
 def test_bad_settings_exit_2(programs, argv):
     # in a fresh process with a timeout: a tolerance of 0 used to make

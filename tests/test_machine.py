@@ -1,14 +1,21 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 
+import ppcf.machine
+
 from ppcf.machine import (
-    CountEstimate, State, _sample, _SubstCache, enumerate_paths,
+    CountEstimate, State, _sample, enumerate_paths,
     estimate_conditional_count, init_state, run, sample, split_seed,
     state_type,
 )
 from ppcf.progen import gen_corpus
-from ppcf.syntax import NAT, App, Mark, PpcfError, make_mq, num, parse_term
+from ppcf.syntax import (
+    NAT, App, Fix, Ifz, Lam, Let, Mark, PpcfError, PpcfTypeError, Succ, Var,
+    make_mq, num, parse_term,
+)
 
 
 def enum(src, **kw):
@@ -218,7 +225,7 @@ def test_coin_compares_exactly(rate, u, bit):
     assert float(Fraction(2, 3)) == 6004799503160661 / 2 ** 53
     assert (u < Fraction(rate)) == (bit == 0)
     state = init_state(parse_term(f"dice({rate})"))
-    rec = _sample(state, _FixedRng(u), 10, _SubstCache())
+    rec = _sample(state, _FixedRng(u), 10)     # the memo is the state's
     assert rec.value == bit and rec.steps == 1
 
 
@@ -246,3 +253,101 @@ def test_sample_stream_pinned():
         rec = sample(state, split_seed(20260814, i), max_steps=5000)
         got.append((rec.converged, rec.value, rec.labels, rec.steps))
     assert got == GOLDEN_MQ34
+
+
+_ID = Lam("x", NAT, Var("x"))
+
+
+@pytest.mark.parametrize("t, steps", [
+    (App(num(0), num(1)), 1),           # a numeral applied
+    (Succ(_ID), 1),                     # succ of a function
+    (Ifz(_ID, num(0), num(1)), 1),      # ifz on a function
+    (Let("y", _ID, num(0)), 1),         # let binding a function
+    (Fix(num(0)), 1),                   # fix of a numeral
+    (_ID, 0),                           # a bare function
+], ids=["app-num", "succ-lam", "ifz-lam", "let-lam", "fix-num", "lam"])
+def test_stuck_states_reject(t, steps):
+    # one step pushes the frame node, the value that comes back does not
+    # fit it, and the run is stuck; a bare function is stuck at once
+    state = init_state(t)
+    res = enumerate_paths(state)
+    assert res.rejected_mass == 1 and res.paths == []
+    assert run(state, "") is None
+    rec = sample(state, 1)
+    assert (rec.converged, rec.value, rec.steps) == (False, None, steps)
+
+
+def _stacked(focus, stack):
+    frames = []
+    while stack is not None:
+        fr, stack = stack
+        frames.append(fr)
+    return State(focus, tuple(frames))
+
+
+def test_state_type_along_accepted_paths():
+    # every constructor that pushes a frame is stepped into, so each
+    # kind of frame sits on some visited stack
+    pushed = {"App", "Fix", "Ifz", "Let", "Succ", "Pred"}
+    seen = set()
+
+    def watch(focus, stack):
+        seen.add(type(focus).__name__)
+        assert state_type(_stacked(focus, stack)) == NAT
+
+    for t in gen_corpus(25, 99):
+        state = init_state(t)
+        res = enumerate_paths(state, max_steps=1000, max_choices=10)
+        if res.paths:
+            assert run(state, res.paths[0].choices, on_state=watch)
+    assert pushed <= seen
+
+
+def test_state_type_rejects_ill_typed_frames():
+    states = []
+    run(init_state(Succ(_ID)), "",
+        on_state=lambda f, k: states.append(_stacked(f, k)))
+    assert len(states) == 2         # the succ node, then the lambda on it
+    for state in states:
+        with pytest.raises(PpcfTypeError):
+            state_type(state)
+    with pytest.raises(PpcfTypeError):
+        state_type(State(num(0), (num(1),)))
+
+
+def _mq34():
+    return init_state(App(make_mq(Fraction(3, 4)), Mark(num(0), "t")))
+
+
+def test_state_keeps_its_memo_across_samples(monkeypatch):
+    calls = []
+    real = ppcf.machine.subst
+
+    def counting(*a):
+        calls.append(a)
+        return real(*a)
+
+    monkeypatch.setattr(ppcf.machine, "subst", counting)
+    state = _mq34()
+    first = sample(state, 5, max_steps=500)
+    assert calls
+    calls.clear()
+    assert sample(state, 5, max_steps=500) == first
+    assert calls == []
+
+
+def test_memo_does_not_change_equality_or_copies():
+    t = App(make_mq(Fraction(1, 4)), num(0))
+    assert init_state(t) == init_state(t)
+    state = _mq34()
+    want = [sample(state, split_seed(3, i), max_steps=500)
+            for i in range(5)]
+    paths = enumerate_paths(state, max_choices=6)
+    for other in (copy.deepcopy(state),
+                  pickle.loads(pickle.dumps(state))):
+        assert other == state
+        memo = other.cache
+        assert not memo.table and not memo.coins and not memo.pinned
+        assert [sample(other, split_seed(3, i), max_steps=500)
+                for i in range(5)] == want
+        assert enumerate_paths(other, max_choices=6) == paths
