@@ -23,6 +23,35 @@ canonical divergent term ``fix (\\x. x)`` loops this way, since popping
 a frame gives back the very stack object below it.  The check keeps
 the two previous focus and stack objects alive and compares them with
 ``is``, so a freed object's reused address cannot fake a repeat.
+
+Between coins the machine is deterministic, and through the start
+state's memo its focus and frame nodes repeat by identity, so runs
+replay recorded *segments* instead of stepping them.  A segment starts
+at a focus over a stack whose top frame (or the empty stack) is its
+*key frame*, and is keyed by ``(id(focus), id(key frame))``.  It ends
+at a coin, at a terminal (``done``, ``stuck`` or ``cycle``), or at the
+first numeral or lambda in focus over ``T``, the stack below the key
+frame, since the next step would look into ``T``.  Until then the steps
+read only the focus, the key frame and frames the segment pushed, so
+every start with the same key steps alike.  A segment records its step
+count, its label increments, whether it popped the key frame, the
+frames it left pushed and its outcome; a replay applies them in one
+go, and one that ends over ``T`` goes on with the next key.  A run
+steps (and records) instead when ``on_state`` observes it, when the key
+has no segment yet, or when the segment would reach the step budget,
+so a cut lands on the step it lands on when stepping.  A state records
+at most ``_MAX_SEGMENTS`` segments, so a counter whose numerals keep
+growing as they return through its frames cannot grow the table
+without bound.
+
+The cycle check restarts at each segment start and still finds every
+repeat stepping finds.  A push makes a fresh tuple and a pop only gives
+back a tail, so every state of a segment sits on ``T`` or on frames
+over it; the next segment starts at the first value on ``T`` and its
+first step pops ``T``.  A state two steps back therefore never matches
+across a boundary: a value on ``T`` earlier in the old segment would
+have ended it there, and no state of the old segment sits on the tail
+of ``T``.
 """
 
 from __future__ import annotations
@@ -50,6 +79,7 @@ DEFAULT_MAX_STEPS = 10 ** 6
 DEFAULT_MAX_CHOICES = 64
 
 _TWO53 = 1 << 53
+_MAX_SEGMENTS = 4096        # recorded segments per start state
 
 
 class _SubstCache:
@@ -59,19 +89,25 @@ class _SubstCache:
     and over (every fix unrolling, every beta with a shared argument
     node) and flip coins of the same rate object, in one run and across
     the runs of one start state, so each ``State`` owns one memo for
-    every run, sample and enumeration started from it.  Both tables are
-    keyed by object identity; keeping strong references to the keyed
-    objects pins their ids.  A copied or unpickled state would carry
-    ids of objects it does not hold, so the memo pickles and deep-copies
-    as an empty one.
+    every run, sample and enumeration started from it.  The third table,
+    ``segments``, maps ``(id(focus), id(key frame))`` to the segment
+    recorded from there (see the module docstring).  All tables are
+    keyed by object identity, and each entry keeps strong references to
+    the objects its key names (a segment holds its start focus and key
+    frame), which pins their ids.  A copied or unpickled state would
+    carry ids of objects it does not hold, so the memo pickles and
+    deep-copies as an empty one, segments included.
     """
 
-    __slots__ = ("table", "coins", "pinned")
+    __slots__ = ("table", "coins", "pinned", "segments")
 
     def __init__(self) -> None:
         self.table: dict[tuple[int, str, int], tuple] = {}
         self.coins: dict[int, float] = {}       # id(rate) -> threshold
         self.pinned: list = []                  # the rates in coins
+        # (id(focus), id(key frame)) -> (focus, key frame, steps,
+        # label bumps, popped key frame, frames left pushed, kind, value)
+        self.segments: dict[tuple[int, int], tuple] = {}
 
     def __reduce__(self):
         return (_SubstCache, ())
@@ -177,77 +213,146 @@ class CountEstimate:
 # Every outcome of _advance is a 4-tuple (kind, value, stack, steps):
 # ("dice", rate, stack, steps) at a coin, whose flip is already counted
 # as a step, ("done", n, None, steps) on a numeral over the empty stack,
-# and ("open" | "cycle" | "stuck", None, stack, steps) otherwise.
-def _advance(focus, stack, labels, steps, max_steps, cache, on_state=None):
-    """Run deterministically until a coin, a terminal, or the budget."""
-    sub = cache.subst
-    f1 = s1 = f2 = s2 = None        # the two previous states
-    while True:
-        if on_state is not None:
-            on_state(focus, stack)
-        if focus is f2 and stack is s2:
-            return ("cycle", None, stack, steps)
-        f2 = f1
-        s2 = s1
-        f1 = focus
-        s1 = stack
+# and ("open" | "cycle" | "stuck", None, stack, steps) otherwise.  A
+# recorded segment ends in one of these (never "open") or in _NEXT, a
+# value over the stack below its key frame, whose value is the focus.
+_NEXT = "next"
 
-        cls = type(focus)
-        if cls is Num:
-            if stack is None:
-                return ("done", focus.n, None, steps)
-            fr, stack = stack
-            fcls = type(fr)
-            if fcls is Ifz:
-                focus = fr.zero if focus.n == 0 else fr.pos
-            elif fcls is Succ:
-                focus = num(focus.n + 1)
-            elif fcls is Pred:
-                focus = num(focus.n - 1 if focus.n else 0)
-            elif fcls is Let:
-                focus = sub(fr.body, fr.name, focus)
-            else:  # App or Fix: a numeral applied to an argument
-                return ("stuck", None, stack, steps)
-        elif cls is App:
-            stack = (focus, stack)
-            focus = focus.fun
-        elif cls is Lam:
-            if stack is None:
-                return ("stuck", None, None, steps)
-            fr, stack = stack
-            fcls = type(fr)
-            if fcls is App:
-                focus = sub(focus.body, focus.name, fr.arg)
-            elif fcls is Fix:
-                focus = sub(focus.body, focus.name, fr)
+
+def _advance(focus, stack, labels, steps, max_steps, cache, on_state=None):
+    """Run deterministically until a coin, a terminal, or the budget.
+
+    Each segment is replayed from ``cache.segments`` when it was
+    recorded before and fits the budget, and otherwise stepped and
+    recorded; see the module docstring.
+    """
+    sub = cache.subst
+    segments = cache.segments
+    while True:
+        top = None if stack is None else stack[0]
+        key = (id(focus), id(top))
+        if on_state is None:
+            seg = segments.get(key)
+            if seg is not None and steps + seg[2] < max_steps:
+                _, _, n, bumps, popped, pushed, kind, val = seg
+                steps += n
+                for l, k in bumps:
+                    labels[l] = labels.get(l, 0) + k
+                if popped:
+                    stack = stack[1]
+                for fr in pushed:
+                    stack = (fr, stack)
+                if kind is _NEXT:
+                    focus = val
+                    continue
+                return (kind, val, stack, steps)
+
+        # step one segment, recording it
+        start_focus, start_steps = focus, steps
+        depth = 0                   # frames pushed in this segment
+        popped = False              # the key frame is gone
+        bumps = None                # label -> count, in first-bump order
+        f1 = s1 = f2 = s2 = None    # the two previous states
+        while True:
+            cls = type(focus)
+            if popped and not depth and (cls is Num or cls is Lam):
+                kind, val = _NEXT, focus    # needs the frame below
+                break
+            if on_state is not None:
+                on_state(focus, stack)
+            if focus is f2 and stack is s2:
+                kind, val = "cycle", None
+                break
+            f2 = f1
+            s2 = s1
+            f1 = focus
+            s1 = stack
+
+            if cls is Num or cls is Lam:
+                if depth:
+                    depth -= 1
+                elif stack is None:     # the key: no frame at all
+                    kind, val = (("done", focus.n) if cls is Num
+                                 else ("stuck", None))
+                    break
+                else:
+                    popped = True
+                fr, stack = stack
+                fcls = type(fr)
+                if cls is Lam:
+                    if fcls is App:
+                        focus = sub(focus.body, focus.name, fr.arg)
+                    elif fcls is Fix:
+                        focus = sub(focus.body, focus.name, fr)
+                    else:
+                        kind, val = "stuck", None
+                        break
+                elif fcls is Ifz:
+                    focus = fr.zero if focus.n == 0 else fr.pos
+                elif fcls is Succ:
+                    focus = num(focus.n + 1)
+                elif fcls is Pred:
+                    focus = num(focus.n - 1 if focus.n else 0)
+                elif fcls is Let:
+                    focus = sub(fr.body, fr.name, focus)
+                else:  # App or Fix: a numeral applied to an argument
+                    kind, val = "stuck", None
+                    break
+            elif cls is App:
+                stack = (focus, stack)
+                depth += 1
+                focus = focus.fun
+            elif cls is Ifz:
+                stack = (focus, stack)
+                depth += 1
+                focus = focus.scrut
+            elif cls is Fix or cls is Succ or cls is Pred:
+                stack = (focus, stack)
+                depth += 1
+                focus = focus.arg
+            elif cls is Dice:
+                steps += 1
+                if steps >= max_steps:
+                    kind = "open"
+                    break
+                kind, val = "dice", focus.rate
+                break
+            elif cls is Let:
+                stack = (focus, stack)
+                depth += 1
+                focus = focus.bound
+            elif cls is Mark:
+                if bumps is None:
+                    bumps = {}
+                bumps[focus.label] = bumps.get(focus.label, 0) + 1
+                focus = focus.body
+            elif cls is Var:
+                raise PpcfError(f"free variable {focus.name!r} reached; "
+                                "machine states must be closed")
             else:
-                return ("stuck", None, stack, steps)
-        elif cls is Ifz:
-            stack = (focus, stack)
-            focus = focus.scrut
-        elif cls is Fix or cls is Succ or cls is Pred:
-            stack = (focus, stack)
-            focus = focus.arg
-        elif cls is Dice:
+                raise PpcfError(f"not a term: {focus!r}")
+
             steps += 1
             if steps >= max_steps:
-                return ("open", None, stack, steps)
-            return ("dice", focus.rate, stack, steps)
-        elif cls is Let:
-            stack = (focus, stack)
-            focus = focus.bound
-        elif cls is Mark:
-            labels[focus.label] = labels.get(focus.label, 0) + 1
-            focus = focus.body
-        elif cls is Var:
-            raise PpcfError(f"free variable {focus.name!r} reached; "
-                            "machine states must be closed")
-        else:
-            raise PpcfError(f"not a term: {focus!r}")
+                kind = "open"
+                break
 
-        steps += 1
-        if steps >= max_steps:
+        bumps = tuple(bumps.items()) if bumps else ()
+        for l, k in bumps:
+            labels[l] = labels.get(l, 0) + k
+        if kind == "open":
             return ("open", None, stack, steps)
+        if len(segments) < _MAX_SEGMENTS:
+            pushed = []
+            s = stack
+            for _ in range(depth):
+                fr, s = s
+                pushed.append(fr)
+            pushed.reverse()
+            segments[key] = (start_focus, top, steps - start_steps, bumps,
+                             popped, tuple(pushed), kind, val)
+        if kind is not _NEXT:
+            return (kind, val, stack, steps)
 
 
 def _link(frames: Sequence[Term]):

@@ -56,17 +56,22 @@ def lcof(t: Term, rates: Mapping[str, Fraction]) -> Term:
     return _gate(t, lambda l: Dice(exact[l]))
 
 
-def default_spy_vars(t: Term) -> dict[str, str]:
-    """A fresh spy variable name for each label of t."""
-    taken = set(all_names(t))
+def _fresh_vars(names: frozenset[str],
+                labels: frozenset[str]) -> dict[str, str]:
+    taken = set(names)
     out = {}
-    for l in sorted(labels_of(t)):
+    for l in sorted(labels):
         name = f"r_{l}"
         while name in taken:
             name += "_"
         taken.add(name)
         out[l] = name
     return out
+
+
+def default_spy_vars(t: Term) -> dict[str, str]:
+    """A fresh spy variable name for each label of t."""
+    return _fresh_vars(all_names(t), labels_of(t))
 
 
 def spy(t: Term, variables: Optional[Mapping[str, str]] = None) -> Term:
@@ -76,12 +81,13 @@ def spy(t: Term, variables: Optional[Mapping[str, str]] = None) -> Term:
     inserted occurrences could be captured.  With ``variables=None``
     fresh names are chosen via ``default_spy_vars``.
     """
+    names, labels = all_names(t), labels_of(t)
     if variables is None:
-        variables = default_spy_vars(t)
-    missing = labels_of(t) - set(variables)
+        variables = _fresh_vars(names, labels)
+    missing = labels - set(variables)
     if missing:
         raise PpcfError(f"no spy variable for labels {sorted(missing)}")
-    clash = set(variables.values()) & set(all_names(t))
+    clash = set(variables.values()) & names
     if clash:
         raise PpcfError(f"spy variables {sorted(clash)} collide with "
                         "names in the term")

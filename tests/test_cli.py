@@ -162,6 +162,18 @@ def test_deep_input_exits_2(capsys, programs):
         assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("op, converged", [("pred", 1), ("succ", 0)])
+def test_deep_chain_runs_under_eval(capsys, programs, op, converged):
+    # the value returns through 10^4 frames after the coin; every run
+    # after the first replays the segments recorded on the way
+    path = programs("deep", f"{op} " * 10_000 + "dice(1/2)")
+    rc, out = run_cli(capsys, "eval", path)
+    assert rc == 0 and out["converged_mass"] == str(converged)
+    rc, out = run_cli(capsys, "eval", path, "--samples", "3",
+                      "--max-steps", "100000")
+    assert rc == 0 and out["cut"] == 0 and out["accepted"] == 3 * converged
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "BAD"],
     ["denot", "BAD"],

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 from fractions import Fraction
 
@@ -343,11 +344,136 @@ def test_memo_does_not_change_equality_or_copies():
     want = [sample(state, split_seed(3, i), max_steps=500)
             for i in range(5)]
     paths = enumerate_paths(state, max_choices=6)
+    assert state.cache.segments
     for other in (copy.deepcopy(state),
                   pickle.loads(pickle.dumps(state))):
         assert other == state
         memo = other.cache
         assert not memo.table and not memo.coins and not memo.pinned
+        assert not memo.segments
         assert [sample(other, split_seed(3, i), max_steps=500)
                 for i in range(5)] == want
         assert enumerate_paths(other, max_choices=6) == paths
+
+
+_STUCK_OR_CYCLING = [
+    "fix (\\x:nat. x)",
+    "succ (fix (\\x:nat. x))",
+    "ifz fix (\\x:nat. x) then 0 else 1",
+    "let y = fix (\\x:nat. x) in y",
+    "ifz dice(1/2) then fix (\\x:nat. x) else 0",
+    "(\\x:nat. x) (fix (\\x:nat. x))",
+]
+
+
+def _machine_outputs():
+    """Records of every public machine entry point over generated programs
+    (labelled and not), the mq family at several step caps, and stuck or
+    cycling states, as one list of reprs."""
+    out = []
+    for t in (gen_corpus(30, 20260814) + gen_corpus(30, 3, labeled=True)
+              + [parse_term(s) for s in _STUCK_OR_CYCLING]):
+        state = init_state(t)
+        res = enumerate_paths(state, max_steps=2000, max_choices=10)
+        out.append(res)
+        for p in res.paths[:3]:
+            seen = []
+            out.append(run(state, p.choices, on_state=lambda f, k:
+                           seen.append((type(f).__name__, k is None))))
+            out.append(seen)
+            out.append(run(state, p.choices, max_steps=max(1, p.steps - 1)))
+        out += [sample(state, s, max_steps=300) for s in range(3)]
+    for q in ("1/4", "1/2", "3/4", "19/20"):
+        t = App(make_mq(Fraction(q)), Mark(num(0), "t"))
+        state = init_state(t)
+        for cap in (1, 7, 50, 5000):
+            out += [sample(state, split_seed(cap, i), max_steps=cap)
+                    for i in range(30)]
+            out.append(enumerate_paths(state, max_steps=cap, max_choices=8))
+            out.append(estimate_conditional_count(t, "t", 15, cap, seed=2))
+    return [repr(x) for x in out]
+
+
+# computed from the plain stepping machine: a speedup must leave every
+# record as it is
+MACHINE_OUTPUTS_SHA256 = (
+    "5d880ae4a31822aa787fa30fa0bffded12c3ae9789995b35c7f2922bb7bfa2d2")
+
+
+def test_machine_outputs_pinned():
+    digest = hashlib.sha256("\n".join(_machine_outputs()).encode())
+    assert digest.hexdigest() == MACHINE_OUTPUTS_SHA256
+
+
+# -- replaying recorded segments gives what stepping gives
+
+def test_warm_and_cold_samples_agree_at_every_cap():
+    # a cap inside a recorded segment must cut on the step stepping cuts
+    t = App(make_mq(Fraction(3, 4)), Mark(num(0), "t"))
+    warm = init_state(t)
+    for cap in [5000, *range(1, 81)]:
+        for i in range(4 if cap < 5000 else 20):
+            seed = split_seed(cap, i)
+            assert (sample(warm, seed, max_steps=cap)
+                    == sample(init_state(t), seed, max_steps=cap)), (cap, i)
+
+
+def test_observed_runs_agree_with_unobserved():
+    for t in gen_corpus(25, 99):
+        state = init_state(t)
+        res = enumerate_paths(state, max_steps=1000, max_choices=10)
+        for p in res.paths[:4]:
+            want = run(state, p.choices)
+            assert run(state, p.choices, on_state=lambda f, s: None) == want
+            assert run(state, p.choices) == want
+
+
+@pytest.mark.parametrize("src", [
+    "succ (fix (\\x:nat. x))",
+    "ifz fix (\\x:nat. x) then 0 else 1",
+    "let y = fix (\\x:nat. x) in succ y",
+    "ifz dice(1/3) then succ (fix (\\x:nat. x)) "
+    "else let y = dice(1/2) in ifz y then fix (\\x:nat. x) else 0",
+], ids=["succ", "ifz", "let", "after-coins"])
+def test_divergence_found_on_warm_states(src):
+    state = init_state(parse_term(src))
+    cold = enumerate_paths(state)
+    assert cold.diverged_mass > 0
+    for _ in range(2):
+        assert enumerate_paths(state) == cold
+        assert enumerate_paths(init_state(parse_term(src))) == cold
+
+
+# -- the segment memo
+
+def test_segment_table_stays_small():
+    state = _mq34()
+    for i in range(250):
+        sample(state, split_seed(20260814, i), max_steps=5000)
+    assert 0 < len(state.cache.segments) <= 16
+
+
+def test_segments_pin_their_keys():
+    state = _mq34()
+    sample(state, 1, max_steps=5000)
+    for key, seg in state.cache.segments.items():
+        assert key == (id(seg[0]), id(seg[1]))
+
+
+@pytest.mark.parametrize("src, value", [
+    ("pred " * 10_000 + "dice(1/2)", 0),
+    ("succ " * 10_000 + "dice(1/2)", 10_000),
+], ids=["pred", "succ"])
+def test_deep_chain_replays(src, value):
+    # after the coin the value returns through 10^4 frames pushed before
+    # it, one segment per frame: the table fills up, later runs replay
+    # what it holds and step the rest
+    t = parse_term(src)
+    state = init_state(t)
+    first = enumerate_paths(state)
+    assert len(state.cache.segments) == ppcf.machine._MAX_SEGMENTS
+    assert enumerate_paths(state) == first
+    recs = [sample(state, s, max_steps=30_000) for s in range(4)]
+    assert {r.value for r in recs} <= {value, value + 1}
+    assert recs == [sample(init_state(t), s, max_steps=30_000)
+                    for s in range(4)]
