@@ -12,35 +12,49 @@ Ground vectors are truncated at ``nmax`` with a lumped overflow bucket:
 succ shifts into it, ifz counts it as nonzero, and pred or let refuse
 to guess what is inside it (a precision error above ``tol``).
 
-Fixpoints are Kleene suprema.  A fixpoint observed at ground type is
-iterated in place until its observation moves less than ``tol`` in sup
-norm.  A fixpoint used as a function is unrolled to a finite depth, and
-the depth is driven by a geometric ladder at the top-level ground
-observation: evaluate at depth d and 2d and stop once the observation
-is stable.  Derivatives that keep growing along the ladder, or exceed
-``divergence_threshold``, are reported as divergent rather than as a
-number.
+Fixpoints are least fixpoints, reached in one of three ways.
+
+* A fix whose recursive variable is annotated ``nat -> nat`` is a
+  table: each ground argument the program calls it with, keyed by
+  ``Dist.fingerprint``, maps to the fixpoint's value there.  The table
+  is a monotone polynomial system u = F(u).  It is solved by Newton's
+  method from 0, one strongly connected component at a time, and the
+  derivatives in every outside parameter come from the implicit-
+  function theorem at the solution (see ``ppcf.fixpoints``).
+* A fixpoint of ground type is Kleene-iterated in place until its
+  observation moves less than ``tol`` in sup norm.
+* Every other fixpoint is unrolled to a finite depth: one of higher
+  type, a ``nat -> nat`` one whose arguments are computed from its own
+  values as in ``f (f x)`` or which is passed as a value, and a table
+  that gives up (see ``ppcf.fixpoints``).  The depth climbs a
+  geometric ladder at the top-level observation: evaluate at depth d
+  and 2d and stop once the observation is stable.
+
+An expected count is reported as divergent when a table it flows
+through has an I - J that is singular within ``fixpoints.PIVOT_MARGIN``,
+or when it exceeds ``divergence_threshold``.
 
 A closed fix node (one without free variables) is evaluated once per
 evaluator: every later visit reuses the same fixpoint family, with its
-unrolled functionals, argument memo and ground iterate.  This is sound
-because a closed term denotes the same value in every environment and
-an evaluator's unrolling depth is fixed, so a fresh family would
+table, unrolled functionals, argument memo and ground iterate.  This is
+sound because a closed term denotes the same value in every environment
+and an evaluator's unrolling depth is fixed, so a fresh family would
 recompute exactly what the shared one holds.  Without the sharing, a
-closed recursive helper called from inside another recursion is
-unrolled again on every outer call.
+closed recursive helper called from inside another recursion is solved
+again on every outer call.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from .syntax import (
-    App, Dice, Fix, Ifz, Lam, Let, Mark, Num, Pred, PpcfError, Succ, Term,
-    Var, free_vars, typecheck, Nat,
+    NAT, App, Dice, Fix, Ifz, Lam, Let, Mark, Nat, Num, Pred, PpcfError,
+    Succ, Term, Var, free_vars, typecheck,
 )
 from .translate import default_spy_vars, spy, strip
 
@@ -224,6 +238,13 @@ ZERO = Dist({}, 0.0)
 
 @dataclass(frozen=True)
 class SemConfig:
+    """Settings of one denotation.
+
+    ``fix_iters`` bounds each fixpoint on its own: the Newton steps of a
+    table component, the Kleene iterations of a ground fixpoint and the
+    deepest rung of the unrolling ladder.  A fixpoint that needs more is
+    reported as not converged.
+    """
     nmax: int = 64
     fix_iters: int = 10_000
     tol: float = 1e-9
@@ -238,6 +259,11 @@ class SemConfig:
             raise PpcfError(f"nmax must be >= 1, got {self.nmax}")
         if self.fix_iters < 1:
             raise PpcfError(f"fix_iters must be >= 1, got {self.fix_iters}")
+        # a NaN threshold would compare false and never report divergence
+        t = self.divergence_threshold
+        if not (math.isfinite(t) and t > 0):
+            raise PpcfError(
+                f"divergence_threshold must be finite and > 0, got {t}")
 
 
 DEFAULT_CONFIG = SemConfig()
@@ -246,13 +272,13 @@ OK = "OK"
 DIVERGES = "DIVERGES"
 UNDEFINED = "UNDEFINED"
 
-
 @dataclass(frozen=True)
 class GroundResult:
     dist: Dist
-    converged: bool           # ladder and every inner Kleene hit tol
-    depth: int                # last unrolling depth used
-    history: tuple            # ladder observations, oldest first
+    converged: bool           # every table, Kleene iteration and rung hit tol
+    depth: int                # last ladder depth; the first rung if none ran
+    # partials whose implicit derivative met a singular I - J
+    diverging: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -305,28 +331,11 @@ class _BotType:
 VBot = _BotType()
 
 
-class _FixFam:
-    """One evaluation of a fix node: shared unrolling caches.
-
-    An evaluator makes one family per closed fix node and reuses it at
-    every visit (see the module docstring); an open fix node gets a
-    fresh family each time, since its functional depends on the
-    environment.
-    """
-
-    __slots__ = ("functional", "memo", "gcache", "ground", "refs")
-
-    def __init__(self, functional):
-        self.functional = functional
-        self.memo: dict = {}       # (depth, arg fingerprint) -> value
-        self.gcache: dict = {}     # depth -> unrolled functional value
-        self.ground: Optional[Dist] = None
-        self.refs: list = []       # pins identity-fingerprinted args
-
-
 @dataclass(frozen=True)
 class VFix:
-    fam: _FixFam
+    """A fixpoint value: its family (see ``fixpoints.Family``) and the
+    depth it unrolls to when the family is not a table."""
+    fam: object
     depth: int
 
     def fingerprint(self, sink):
@@ -373,14 +382,20 @@ def _add_val(a, b):
 # the evaluator
 
 class _Eval:
-    def __init__(self, cfg: SemConfig, depth: int):
+    def __init__(self, cfg: SemConfig, depth: int,
+                 untabled: Optional[set] = None):
         self.cfg = cfg
-        self.depth = depth          # unrolling budget for applied fixpoints
-        self.used_arrow_fix = False
+        self.depth = depth          # unrolling budget for ladder families
+        self.unrolled = False       # did a ladder family run?
         self.unconverged = False
-        # id(Fix node) -> (node, its shared VFix, or None when the node
-        # is open); holding the node keeps its id from being reused
-        self.fixes: dict[int, tuple[Fix, Optional[VFix]]] = {}
+        self.diverging: set = set()  # see GroundResult
+        self.solves = itertools.count()  # names the private partials
+        # id(Fix node) -> [node, closed?, tabled?, shared VFix or None];
+        # holding the node keeps its id from being reused
+        self.fixes: dict[int, list] = {}
+        # ids of fix nodes whose table gave up: they unroll from then on,
+        # at this depth and (the set is shared along a ladder) the next
+        self.untabled: set = set() if untabled is None else untabled
 
     def eval(self, t: Term, env: dict):
         cls = type(t)
@@ -439,12 +454,21 @@ class _Eval:
         raise TypeError(f"not a term: {t!r}")
 
     def _fix(self, t: Fix, env: dict) -> VFix:
-        hit = self.fixes.get(id(t))
-        if hit is not None and hit[1] is not None:
-            return hit[1]
-        v = VFix(_FixFam(self.eval(t.arg, env)), self.depth)
-        if hit is None:
-            self.fixes[id(t)] = (t, None if free_vars(t) else v)
+        # loaded on a program's first fix, so that importing the package
+        # does not compile the fixpoint solvers
+        from . import fixpoints
+        site = self.fixes.get(id(t))
+        if site is None:
+            site = [t, not free_vars(t), fixpoints.tabled(t.arg), None]
+            self.fixes[id(t)] = site
+        if site[3] is not None:
+            return site[3]
+        table = site[2] and id(t) not in self.untabled
+        v = VFix(fixpoints.Family(self.eval(t.arg, env),
+                                  id(t) if table else None),
+                 self.depth)
+        if site[1]:
+            site[3] = v
         return v
 
     # -- application -------------------------------------------------------
@@ -462,27 +486,8 @@ class _Eval:
                 out = _add_val(out, _scale_val(c, self.apply(v, x)))
             return out if out is not None else VBot
         if type(f) is VFix:
-            return self._apply_fix(f.fam, f.depth, x)
+            return f.fam.apply(self, f, x)
         raise PpcfError(f"cannot apply a ground value")
-
-    def _apply_fix(self, fam: _FixFam, depth: int, x):
-        if depth <= 0:
-            return VBot
-        self.used_arrow_fix = True
-        fp = x.fingerprint(fam.refs)
-        hit = fam.memo.get((depth, fp))
-        if hit is not None:
-            return hit
-        for k in range(1, depth + 1):
-            key = (k, fp)
-            if key in fam.memo:
-                continue
-            g = fam.gcache.get(k)
-            if g is None:
-                g = self.apply(fam.functional, VFix(fam, k - 1))
-                fam.gcache[k] = g
-            fam.memo[key] = self.apply(g, x)
-        return fam.memo[(depth, fp)]
 
     # -- ground observation --------------------------------------------------
 
@@ -492,7 +497,7 @@ class _Eval:
         if v is VBot:
             return ZERO
         if type(v) is VFix:
-            return self._ground_fix(v.fam)
+            return v.fam.ground(self)
         if type(v) is VSum:
             # combinations stay lazy until observed; parts of a
             # ground-typed sum are ground themselves
@@ -501,21 +506,6 @@ class _Eval:
                 out = out.plus(self.obs(part).scaled(c))
             return out
         raise PpcfError("arrow-typed value observed at ground type")
-
-    def _ground_fix(self, fam: _FixFam) -> Dist:
-        if fam.ground is not None:
-            return fam.ground
-        u = ZERO
-        for _ in range(self.cfg.fix_iters):
-            nxt = self.obs(self.apply(fam.functional, u))
-            if nxt.sup_diff(u) < self.cfg.tol:
-                u = nxt
-                break
-            u = nxt
-        else:
-            self.unconverged = True
-        fam.ground = u
-        return u
 
 
 # ---------------------------------------------------------------------------
@@ -534,44 +524,51 @@ def _ladder_depths(cfg: SemConfig):
 
 def ground_denot(t: Term, env: Optional[Mapping] = None,
                  cfg: SemConfig = DEFAULT_CONFIG) -> GroundResult:
-    """Observation of a ground-typed term, driving applied fixpoints up
-    the depth ladder until the observation stabilises."""
+    """Observation of a term of type nat.  Tables are solved in place;
+    unrolled fixpoints drive the depth ladder until the observation
+    stabilises."""
     env = dict(env) if env else {}
-    history: list[Dist] = []
+    ty = typecheck(t, _env_types(env))
+    if type(ty) is not Nat:
+        raise PpcfError(f"only a term of type nat has a ground "
+                        f"denotation; this one has type {ty}")
+    return _ground(t, env, cfg)
+
+
+def _ground(t: Term, env: dict, cfg: SemConfig) -> GroundResult:
     prev: Optional[Dist] = None
+    untabled: set = set()
     for depth in _ladder_depths(cfg):
-        ev = _Eval(cfg, depth)
+        ev = _Eval(cfg, depth, untabled)
         dist = ev.obs(ev.eval(t, env))
-        history.append(dist)
-        if not ev.used_arrow_fix:
-            return GroundResult(dist, not ev.unconverged, depth,
-                                tuple(history))
+        res = GroundResult(dist, not ev.unconverged, depth,
+                           frozenset(ev.diverging))
+        if not ev.unrolled:
+            return res
         if prev is not None and dist.sup_diff(prev) < cfg.tol \
                 and not ev.unconverged:
-            return GroundResult(dist, True, depth, tuple(history))
+            return res
         prev = dist
-    return GroundResult(dist, False, depth, tuple(history))
+    return GroundResult(dist, False, depth, res.diverging)
 
 
 def denot(t: Term, env: Optional[Mapping] = None,
           cfg: SemConfig = DEFAULT_CONFIG):
     """Denotation of a term under an environment of semantic values.
 
-    Ground-typed terms give a Dist via the stabilised ladder; other
-    terms give a function value at the full unrolling budget.
+    Ground-typed terms give a Dist as ``ground_denot`` does; other terms
+    give a function value at the full unrolling budget.
     """
-    ty = typecheck(t, _env_types(env))
-    if type(ty) is Nat:
-        return ground_denot(t, env, cfg).dist
-    ev = _Eval(cfg, cfg.fix_iters)
-    return ev.eval(t, dict(env) if env else {})
+    env = dict(env) if env else {}
+    if type(typecheck(t, _env_types(env))) is Nat:
+        return _ground(t, env, cfg).dist
+    return _Eval(cfg, cfg.fix_iters).eval(t, env)
 
 
 def _env_types(env: Optional[Mapping]) -> dict:
     # values in an environment are ground vectors unless built by hand;
     # typecheck only needs *some* consistent typing, and ground covers
     # every environment this package constructs itself.
-    from .syntax import NAT
     return {name: NAT for name in (env or {})}
 
 
@@ -611,33 +608,22 @@ def expected_count(t: Term, label: str,
     The raw value is the derivative of the convergence mass in the
     label's rate; dividing by the convergence probability of the
     stripped program conditions on convergence.  A derivative that
-    keeps growing along the unrolling ladder, or crosses the
-    divergence threshold, is reported as DIVERGES.
+    passes through a singular I - J (see ``fixpoints.PIVOT_MARGIN``),
+    or is not within the divergence threshold, is reported as
+    DIVERGES.  A cut budget is not divergence: it gives the estimate,
+    unconverged.
     """
     res = spy_denot(t, None, {label}, cfg)
-    raw_scalar = res.dist.mass0()
-    raw = sparts(raw_scalar).get(label, 0.0)
+    raw = sparts(res.dist.mass0()).get(label, 0.0)
     p_conv = prob_zero(strip(t), cfg)
 
-    if abs(raw) > cfg.divergence_threshold:
-        return ExpectedCount(label, DIVERGES, None, None, p_conv, False)
-    if not res.converged and _partial_growing(res.history, label):
+    if label in res.diverging or not abs(raw) <= cfg.divergence_threshold:
         return ExpectedCount(label, DIVERGES, None, None, p_conv, False)
     if p_conv <= 0.0:
         return ExpectedCount(label, UNDEFINED, raw, None, p_conv,
                              res.converged)
     return ExpectedCount(label, OK, raw, raw / p_conv, p_conv,
                          res.converged)
-
-
-def _partial_growing(history: tuple, label: str) -> bool:
-    """Are the ladder increments of the partial failing to contract?"""
-    partials = [sparts(d.mass0()).get(label, 0.0) for d in history]
-    if len(partials) < 3:
-        return True     # nothing to certify contraction with
-    d1 = abs(partials[-1] - partials[-2])
-    d2 = abs(partials[-2] - partials[-3])
-    return d1 >= d2 * 0.999 and d1 > 0.0
 
 
 def finite_difference_check(t: Term, label: str, h: float,

@@ -202,6 +202,26 @@ def test_denot_ground(capsys, programs):
     assert out["dist"]["overflow"] == {"v": 0.0, "d": {}}
 
 
+# a divergent term of type nat -> nat: its functional returns its
+# argument, so iterating it from the ground zero once looked converged
+ARROW_FIX = r"fix (\f:nat->nat. f)"
+
+
+@pytest.mark.parametrize("argv", [
+    ["denot", "FIX"],
+    ["dist", "FIX", "zero"],
+    ["dist", "FIX", "FIX"],
+    ["check", "tamed", "--left", "FIX", "--right", "zero"],
+])
+def test_arrow_term_observed_exits_2(capsys, programs, argv):
+    files = {"FIX": programs("fix", ARROW_FIX), "zero": programs("zero")}
+    assert main(["--quiet", *(files.get(a, a) for a in argv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "type nat -> nat" in captured.err
+
+
 def test_denot_arrow_term_exits_2(capsys, programs):
     rc, _ = run_cli(capsys, "denot", programs("fn", r"\x:nat. x"))
     assert rc == 2
@@ -238,6 +258,17 @@ def test_expect_diverges_surfaced(capsys, programs):
                       "--label", "t")
     assert rc == 0
     assert out["dual"] == "DIVERGES"
+
+
+def test_expect_budget_cut_is_not_divergence(capsys, programs):
+    # one Newton step gives an estimate of the count, 3, marked
+    # unconverged; only a singular I - J or the threshold mean DIVERGES
+    rc, out = run_cli(capsys, "expect", programs("mq075_marked"),
+                      "--label", "t", "--fix-iters", "1")
+    assert rc == 0
+    assert out["dual"] != "DIVERGES"
+    assert out["dual"]["converged"] is False
+    assert 2.0 < out["dual"]["conditional"] < 4.0
 
 
 def test_expect_both_methods(capsys, programs):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ppcf.fixpoints import tabled
 from ppcf.machine import enumerate_paths, init_state
 from ppcf.progen import gen_corpus
 from ppcf.semantics import (
@@ -11,7 +12,7 @@ from ppcf.semantics import (
     spy_denot, sparts, sval,
 )
 from ppcf.syntax import (
-    App, Mark, PpcfError, make_mq, num, parse_term,
+    App, Fix, Mark, PpcfError, make_mq, num, parse_term, subterms,
 )
 from ppcf.translate import strip
 
@@ -94,21 +95,97 @@ def test_geometric_retry():
 
 def test_adequacy_against_enumeration_exact():
     # the labeled generator stays in the finite-path-tree fragment, so
-    # stripped programs enumerate exhaustively and adequacy is sharp
+    # stripped programs enumerate exhaustively and adequacy is sharp;
+    # their 14 fixpoints are nat -> nat tables, solved off the ladder
     for t in gen_corpus(20, 1234, labeled=True):
         t = strip(t)
         res = enumerate_paths(init_state(t))
         assert res.open_mass == 0
-        assert prob_zero(t, CFG) == pytest.approx(
+        gr = ground_denot(t, None, CFG)
+        assert gr.converged and gr.depth == 8
+        assert sval(gr.dist.mass0()) == pytest.approx(
             float(res.converged_mass), abs=1e-9)
 
 
-def test_ladder_history_monotone():
+def test_newton_iterates_monotone():
+    # fix_iters cuts the table's Newton steps, so the k-th budget gives
+    # the k-th iterate: each is >= the last and <= the fixpoint
     t = App(make_mq(Fraction(3, 4)), num(0))
     gr = ground_denot(t, None, CFG)
-    masses = [sval(d.mass0()) for d in gr.history]
-    assert all(a <= b + 1e-15 for a, b in zip(masses, masses[1:]))
     assert gr.converged
+    top = sval(gr.dist.mass0())
+    masses = [prob_zero(t, SemConfig(tol=1e-12, fix_iters=k))
+              for k in range(1, 8)]
+    assert masses[0] < masses[-1]
+    assert all(a <= b for a, b in zip(masses, masses[1:]))
+    assert all(m <= top for m in masses)
+    assert not ground_denot(t, None, SemConfig(fix_iters=3)).converged
+
+
+def test_value_dependent_arguments_fall_back_to_the_ladder():
+    # f (f x) calls the table at its own values, so keys keep appearing
+    # as they move; the family unrolls instead, and finds the answer 1
+    t = parse_term("(fix (\\f:nat->nat. \\x:nat. "
+                   "ifz dice(3/5) then 0 else f (f x))) 1")
+    gr = ground_denot(t, None, CFG)
+    assert gr.converged and gr.depth > 8
+    assert gr.dist.coords.keys() == {0}
+    assert sval(gr.dist.mass0()) == pytest.approx(1.0, abs=CFG.tol)
+
+
+@pytest.mark.parametrize("src, want", [
+    # f handed to a closed higher-type fix, which memoises by argument
+    # identity: a table keeps its identity while its values move
+    (r"(fix (\f:nat->nat. \x:nat. ifz dice(1/2) then 0 else "
+     r"(fix (\h:(nat->nat)->nat. \k:nat->nat. "
+     r"ifz dice(1/2) then k 0 else h k)) f)) 1", {0: 1.0}),
+    # a function that calls f handed to a helper bound outside the fix,
+    # which calls it at its own values: f (f 0)
+    (r"(\app:(nat->nat)->nat. (fix (\f:nat->nat. \x:nat. "
+     r"ifz dice(1/2) then x else app (\y:nat. f y))) 3) "
+     r"(\k:nat->nat. k (k 0))", {0: 0.5, 3: 0.5}),
+])
+def test_recursive_variable_passed_as_value_is_not_a_table(src, want):
+    t = parse_term(src)
+    fixes = [s for s in subterms(t) if type(s) is Fix]
+    assert fixes and not any(tabled(s.arg) for s in fixes)
+    gr = ground_denot(t, None, CFG)
+    assert gr.converged and gr.depth > 8
+    got = {n: sval(c) for n, c in gr.dist.coords.items()}
+    assert got.keys() == want.keys()
+    for n, p in want.items():
+        assert got[n] == pytest.approx(p, abs=1e-9), n
+
+
+def test_table_discovery_precision_error_falls_back_to_the_ladder():
+    # discovery follows the walk to arguments of weight 10^-44 and
+    # beyond, until one has overflow mass pred cannot split; the ladder
+    # stops at a depth where that weight is negligible
+    t = parse_term(r"(fix (\f:nat->nat. \x:nat. ifz dice(9/10) then x "
+                   r"else f (ifz dice(1/2) then pred x else succ x))) 20")
+    gr = ground_denot(t, None, CFG)
+    assert gr.converged
+    want: dict = {}
+    walk = {20: 1.0}
+    for _ in range(40):
+        nxt: dict = {}
+        for n, p in walk.items():
+            want[n] = want.get(n, 0.0) + 0.9 * p
+            for m in (max(n - 1, 0), n + 1):
+                nxt[m] = nxt.get(m, 0.0) + 0.05 * p
+        walk = nxt
+    for n, p in want.items():
+        assert sval(gr.dist.coords.get(n, 0.0)) == pytest.approx(
+            p, abs=1e-12), n
+
+
+@pytest.mark.parametrize("k", [k for k in range(21) if k != 10])
+def test_mq_partials_match_central_differences(k):
+    # the implicit-function partial of each table against a difference
+    # quotient of step 1e-5, whose O(h^2) error is far below the bound
+    t = App(make_mq(Fraction(k, 20)), Mark(num(0), "t"))
+    chk = finite_difference_check(t, "t", 1e-5, CFG)
+    assert chk.abs_err <= 1e-5 * max(1.0, abs(chk.dual)), chk
 
 
 def test_mq_closed_forms():
@@ -201,6 +278,8 @@ def test_open_fix_gets_a_family_per_visit():
 @pytest.mark.parametrize("kw", [
     {"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf},
     {"nmax": 0}, {"fix_iters": 0},
+    {"divergence_threshold": math.nan}, {"divergence_threshold": math.inf},
+    {"divergence_threshold": 0.0}, {"divergence_threshold": -1.0},
 ])
 def test_bad_config_rejected(kw):
     with pytest.raises(PpcfError):
