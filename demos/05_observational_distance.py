@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from ppcf import to_text
 from ppcf.corpus import load_contexts, load_program
-from ppcf.pcs import denot_dist_nat, tame, tamed_bound_check, untamed_gap
+from ppcf.observe import denot_dist_nat, tame, tamed_bound_check, untamed_gap
 
 # Two coins that differ by 1/10 in their chance of landing on 0.
 m1 = load_program("dice000")

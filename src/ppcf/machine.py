@@ -458,43 +458,63 @@ def enumerate_paths(state: State,
     numeral as rejected, and mass caught in a provable cycle (the
     canonical divergent term loops in two steps) as diverged.  Branches
     of probability zero are not explored.
+
+    The search carries each prefix's weight as an unreduced pair of
+    integers ``(wn, wd)``: a coin of rate ``p/q`` gives ``(wn*p, wd*q)``
+    to bit 0 and ``(wn*(q-p), wd*q)`` to bit 1, so no coin pays for a
+    gcd.  Each of the four masses sums numerators per denominator and
+    becomes a ``Fraction`` once, at the end, and an accepted path's
+    weight becomes one when it is recorded; the values are the same
+    rationals either way.
     """
     _check_budget(max_steps, max_choices)
     cache = state.cache
-    converged = Fraction(0)
-    open_ = Fraction(0)
-    rejected = Fraction(0)
-    diverged = Fraction(0)
+    # denominator -> summed numerator, one table per mass
+    converged: dict[int, int] = {}
+    open_: dict[int, int] = {}
+    rejected: dict[int, int] = {}
+    diverged: dict[int, int] = {}
     paths: list[PathRecord] = []
-    todo = [(state.focus, _link(state.frames), Fraction(1), {}, "", 0)]
+    zero, one = num(0), num(1)
+    todo = [(state.focus, _link(state.frames), 1, 1, {}, "", 0)]
     while todo:
-        focus, stack, weight, labels, bits, steps = todo.pop()
+        focus, stack, wn, wd, labels, bits, steps = todo.pop()
         kind, val, stack, steps = _advance(
             focus, stack, labels, steps, max_steps, cache)
         if kind == "dice":
             if len(bits) >= max_choices:
-                open_ += weight
+                mass = open_
+            else:
+                p, q = val.numerator, val.denominator
+                wdq = wd * q
+                if p != q:
+                    todo.append((one, stack, wn * (q - p), wdq,
+                                 dict(labels), bits + "1", steps))
+                if p:
+                    todo.append((zero, stack, wn * p, wdq,
+                                 labels, bits + "0", steps))
                 continue
-            if val != 1:
-                todo.append((num(1), stack, weight * (1 - val),
-                             dict(labels), bits + "1", steps))
-            if val != 0:
-                todo.append((num(0), stack, weight * val,
-                             labels, bits + "0", steps))
         elif kind == "done":
             if val == 0:
-                converged += weight
-                paths.append(PathRecord(bits, weight, labels, steps))
+                mass = converged
+                paths.append(PathRecord(bits, Fraction(wn, wd), labels,
+                                        steps))
             else:
-                rejected += weight
+                mass = rejected
         elif kind == "open":
-            open_ += weight
+            mass = open_
         elif kind == "cycle":
-            diverged += weight
+            mass = diverged
         else:  # stuck: arrow-typed terminal, cannot accept
-            rejected += weight
-    return EnumerationResult(paths, converged, open_, rejected, diverged,
+            mass = rejected
+        mass[wd] = mass.get(wd, 0) + wn
+    return EnumerationResult(paths, _total(converged), _total(open_),
+                             _total(rejected), _total(diverged),
                              max_steps, max_choices)
+
+
+def _total(mass: dict[int, int]) -> Fraction:
+    return sum((Fraction(n, d) for d, n in mass.items()), Fraction(0))
 
 
 _MIX = 0x9E3779B97F4A7C15

@@ -17,25 +17,22 @@ checker gets an independent left-hand side.
 
 Checks at the bottom of the module drive randomised trials for the
 Lipschitz bound on norm balls, the chain rule, the first-order (Taylor
-monotonicity) bound, the distance axioms, and the tamed observational
-bound for program pairs.
+monotonicity) bound and the distance axioms.  The tamed observational
+bound for program pairs needs only ground denotations and lives in
+``observe``, which loads without numpy.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .semantics import (
-    Dual, SemConfig, DEFAULT_CONFIG, ground_denot, prob_zero, sval,
-)
-from .syntax import (
-    NAT, App, Arrow, Dice, Ifz, Lam, Term, Var, all_names, loop, typecheck,
-)
+# perfbench/workloads.py calls these two as pcs.*; they live in observe
+from .observe import denot_dist_nat, tamed_bound_check  # noqa: F401
+from .semantics import Dual, sval
 
 __all__ = [
     "SLACK", "Space", "nat_web", "pair_web", "multiset_web", "tensor",
@@ -44,8 +41,7 @@ __all__ = [
     "PowerSeries", "monomial", "series_apply", "deriv_matrix",
     "promotion_series", "random_point", "random_series",
     "chain_check", "chain_rule_check", "first_order_check", "lipschitz_check",
-    "distance_axiom_check", "tamed_bound_check",
-    "ChainReport", "TrialReport", "TamedReport",
+    "distance_axiom_check", "ChainReport", "TrialReport",
 ]
 
 SLACK = 1e-12
@@ -481,78 +477,3 @@ def distance_axiom_check(trials: int, seed: int, web_size: int = 5,
             check(i, "separation", np.max(np.abs(x - y)) > 10 * slack,
                   np.max(np.abs(x - y)))
     return TrialReport("distance axioms", trials, violations, worst)
-
-
-@dataclass(frozen=True)
-class TamedReport:
-    p: float
-    denot_dist: float
-    bound: float
-    gaps: list            # (context index, gap)
-    violations: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    @property
-    def max_gap(self) -> float:
-        return max((g for _, g in self.gaps), default=0.0)
-
-
-def _fresh(name: str, taken) -> str:
-    while name in taken:
-        name += "_"
-    return name
-
-
-def tame(context: Term, p: Fraction) -> Term:
-    """Precompose a context with a p-biased gate on its argument, so one
-    use of the tested term survives with probability p."""
-    ty = typecheck(context)
-    if type(ty) is not Arrow or ty.cod != NAT:
-        raise ValueError(f"contexts must map into nat, got {ty}")
-    z = _fresh("z", all_names(context))
-    gate = Ifz(Dice(Fraction(p)), Var(z), loop(ty.dom))
-    return Lam(z, ty.dom, App(context, gate))
-
-
-def denot_dist_nat(m1: Term, m2: Term, cfg: SemConfig = DEFAULT_CONFIG
-                   ) -> float:
-    """Distance of two ground denotations: the simplex norm of the
-    symmetric difference, with the overflow bucket as an extra point."""
-    d1 = ground_denot(m1, None, cfg).dist
-    d2 = ground_denot(m2, None, cfg).dist
-    total = abs(sval(d1.overflow) - sval(d2.overflow))
-    for n in d1.coords.keys() | d2.coords.keys():
-        total += abs(sval(d1.coords.get(n, 0.0)) - sval(d2.coords.get(n, 0.0)))
-    return total
-
-
-def tamed_bound_check(m1: Term, m2: Term, p: Fraction,
-                      contexts: Sequence[Term],
-                      cfg: SemConfig = DEFAULT_CONFIG,
-                      slack: float = 1e-6) -> TamedReport:
-    """Every tamed context separates the two programs by at most
-    p/(1-p) times the distance of their denotations."""
-    p = Fraction(p)
-    if not (0 < p < 1):
-        raise ValueError("p must lie strictly between 0 and 1")
-    d = denot_dist_nat(m1, m2, cfg)
-    bound = float(p) / (1.0 - float(p)) * d + slack
-    gaps = []
-    violations = []
-    for i, ctx in enumerate(contexts):
-        tamed = tame(ctx, p)
-        gap = abs(prob_zero(App(tamed, m1), cfg)
-                  - prob_zero(App(tamed, m2), cfg))
-        gaps.append((i, gap))
-        if gap > bound:
-            violations.append((i, gap, bound))
-    return TamedReport(float(p), d, bound, gaps, violations)
-
-
-def untamed_gap(m1: Term, m2: Term, context: Term,
-                cfg: SemConfig = DEFAULT_CONFIG) -> float:
-    return abs(prob_zero(App(context, m1), cfg)
-               - prob_zero(App(context, m2), cfg))

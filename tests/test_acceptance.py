@@ -13,10 +13,10 @@ from ppcf.corpus import load_contexts
 from ppcf.machine import (
     enumerate_paths, estimate_conditional_count, init_state,
 )
+from ppcf.observe import tamed_bound_check, untamed_gap
 from ppcf.pcs import (
     chain_rule_check, distance_axiom_check, first_order_check,
     lipschitz_check, nat_web, random_point, random_series,
-    tamed_bound_check, untamed_gap,
 )
 from ppcf.progen import gen_corpus
 from ppcf.semantics import (

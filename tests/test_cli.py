@@ -97,6 +97,29 @@ def test_bad_env_seed_exits_2(capsys, programs, monkeypatch, argv):
     assert captured.err == "error: PPCF_SEED must be an integer, got 'abc'\n"
 
 
+@pytest.mark.parametrize("suite", ["lipschitz", "chain", "distance"])
+@pytest.mark.parametrize("via_env", [False, True])
+def test_negative_seed_in_cone_suite_exits_2(capsys, monkeypatch, suite,
+                                             via_env):
+    # numpy rejects negative seeds; that is bad input, not a violation
+    argv = ["--quiet", "check", suite, "--trials", "1"]
+    if via_env:
+        monkeypatch.setenv("PPCF_SEED", "-3")
+    else:
+        argv += ["--seed", "-5"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: the {suite} suite needs a seed >= 0, "
+                            f"got {-3 if via_env else -5}\n")
+
+
+def test_negative_seed_elsewhere_still_runs(capsys):
+    rc, out = run_cli(capsys, "check", "adequacy", "--trials", "2",
+                      "--seed", "-2")
+    assert rc == 0 and out["ok"]
+
+
 def test_eval_all_cut_exits_3(capsys, programs):
     rc, out = run_cli(capsys, "eval", programs("loop"),
                       "--samples", "5", "--max-steps", "40")

@@ -98,6 +98,41 @@ def test_mass_partition_on_generated_corpus():
         assert total == 1
 
 
+MIXED_RATES = r"""
+(fix (\f:nat -> nat. \x:nat.
+   ifz dice(1/3) then x
+   else ifz dice(2/5) then f (succ x)
+   else ifz dice(5/7) then (ifz x then fix (\y:nat. y) else f (pred x))
+   else ifz dice(0) then succ 0 else dice(1))) 0
+"""
+
+
+@pytest.mark.parametrize("max_choices", range(7))
+def test_enumeration_exact_with_mixed_denominators(max_choices):
+    # the search carries weights as unreduced integer pairs; the masses
+    # and path weights must still be the exact rationals
+    state = init_state(parse_term(MIXED_RATES))
+    res = enumerate_paths(state, max_choices=max_choices)
+    masses = (res.converged_mass, res.open_mass, res.rejected_mass,
+              res.diverged_mass)
+    assert all(type(m) is Fraction for m in masses)
+    assert sum(masses) == Fraction(1)
+    assert res.converged_mass == sum((p.weight for p in res.paths),
+                                     Fraction(0))
+    for p in res.paths:
+        assert run(state, p.choices) == p
+    # the state is warm now: its memo holds substitutions and segments
+    assert enumerate_paths(state, max_choices=max_choices) == res
+    cold = init_state(parse_term(MIXED_RATES))
+    assert enumerate_paths(cold, max_choices=max_choices) == res
+    if max_choices == 6:
+        assert all(masses)
+        assert [str(p.weight) for p in res.paths] == ["1/3", "8/315",
+                                                      "4/35"]
+        assert masses == (Fraction(149, 315), Fraction(608, 4725),
+                          Fraction(76, 675), Fraction(2, 7))
+
+
 def test_run_agrees_with_enumeration():
     for t in gen_corpus(25, 99):
         state = init_state(t)

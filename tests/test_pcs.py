@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ppcf import pcs
+from ppcf import observe, pcs
 from ppcf.semantics import prob_zero
 from ppcf.syntax import App, parse_term
 
@@ -202,25 +202,25 @@ def test_distance_axiom_check_runs_clean():
 
 def test_tame_gates_one_use():
     ident = parse_term(r"\x:nat. x")
-    gated = pcs.tame(ident, Fraction(1, 4))
+    gated = observe.tame(ident, Fraction(1, 4))
     # the tamed identity passes its argument with probability 1/4
     assert prob_zero(App(gated, parse_term("0"))) \
         == pytest.approx(0.25, abs=1e-12)
     with pytest.raises(ValueError):
-        pcs.tame(parse_term("0"), Fraction(1, 4))
+        observe.tame(parse_term("0"), Fraction(1, 4))
 
 
 def test_tamed_bound_and_amplifier():
     m1 = parse_term("dice(0)")
     m2 = parse_term("dice(1/10)")
     amp = parse_term(r"fix (\f:nat -> nat. \x:nat. ifz x then 0 else f x)")
-    rep = pcs.tamed_bound_check(m1, m2, Fraction(1, 2),
-                                [parse_term(r"\x:nat. x"), amp])
+    rep = observe.tamed_bound_check(m1, m2, Fraction(1, 2),
+                                    [parse_term(r"\x:nat. x"), amp])
     assert rep.ok
     assert rep.denot_dist == pytest.approx(0.2, abs=1e-12)
     assert rep.bound == pytest.approx(0.2 + 1e-6, abs=1e-12)
     # without taming, the retry context tells the two coins apart almost
     # surely: any bias at all is amplified to probability one
-    assert pcs.untamed_gap(m1, m2, amp) == pytest.approx(1.0, abs=1e-9)
+    assert observe.untamed_gap(m1, m2, amp) == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(ValueError):
-        pcs.tamed_bound_check(m1, m2, Fraction(1), [amp])
+        observe.tamed_bound_check(m1, m2, Fraction(1), [amp])
