@@ -28,11 +28,13 @@ Fixpoints are least fixpoints, reached in one of three ways.
   values as in ``f (f x)`` or which is passed as a value, and a table
   that gives up (see ``ppcf.fixpoints``).  The depth climbs a
   geometric ladder at the top-level observation: evaluate at depth d
-  and 2d and stop once the observation is stable.
+  and 2d and stop once the observation is stable.  A rung whose
+  unrolling overflows the Python stack ends the ladder, unconverged,
+  at the last rung that finished.
 
 An expected count is reported as divergent when a table it flows
 through has an I - J that is singular within ``fixpoints.PIVOT_MARGIN``,
-or when it exceeds ``divergence_threshold``.
+or when it exceeds ``DIVERGENCE_THRESHOLD``.
 
 A closed fix node (one without free variables) is evaluated once per
 evaluator: every later visit reuses the same fixpoint family, with its
@@ -48,21 +50,21 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Union
 
 from .syntax import (
     NAT, App, Dice, Fix, Ifz, Lam, Let, Mark, Nat, Num, Pred, PpcfError,
     Succ, Term, Var, free_vars, typecheck,
 )
-from .translate import default_spy_vars, spy, strip
+from .translate import default_spy_vars, spy
 
 __all__ = [
     "Dual", "Dist", "SemConfig", "GroundResult", "ExpectedCount", "FdCheck",
     "PrecisionError", "Closure", "VBot", "VFix", "VSum",
-    "denot", "ground_denot", "prob_zero", "spy_denot", "expected_count",
+    "ground_denot", "prob_zero", "spy_denot", "expected_count",
     "finite_difference_check", "OK", "DIVERGES", "UNDEFINED",
+    "DIVERGENCE_THRESHOLD",
 ]
 
 
@@ -240,15 +242,18 @@ ZERO = Dist({}, 0.0)
 class SemConfig:
     """Settings of one denotation.
 
-    ``fix_iters`` bounds each fixpoint on its own: the Newton steps of a
-    table component, the Kleene iterations of a ground fixpoint and the
+    ``nmax`` is the largest numeral a vector holds exactly; the rest
+    goes to the overflow bucket.  ``tol`` is the sup-norm change at which
+    an iteration, and the ladder, count as converged.  ``fix_iters``
+    bounds each fixpoint on its own: the Newton steps of a table
+    component, the Kleene iterations of a ground fixpoint and the
     deepest rung of the unrolling ladder.  A fixpoint that needs more is
-    reported as not converged.
+    reported as not converged.  The bound past which an expected count
+    diverges is not a setting but ``DIVERGENCE_THRESHOLD``.
     """
     nmax: int = 64
     fix_iters: int = 10_000
     tol: float = 1e-9
-    divergence_threshold: float = 1e12
 
     def __post_init__(self):
         # a tolerance of 0 or below never stops a Kleene iteration, and
@@ -259,14 +264,12 @@ class SemConfig:
             raise PpcfError(f"nmax must be >= 1, got {self.nmax}")
         if self.fix_iters < 1:
             raise PpcfError(f"fix_iters must be >= 1, got {self.fix_iters}")
-        # a NaN threshold would compare false and never report divergence
-        t = self.divergence_threshold
-        if not (math.isfinite(t) and t > 0):
-            raise PpcfError(
-                f"divergence_threshold must be finite and > 0, got {t}")
 
 
 DEFAULT_CONFIG = SemConfig()
+
+# an expected count larger than this is reported as DIVERGES
+DIVERGENCE_THRESHOLD = 1e12
 
 OK = "OK"
 DIVERGES = "DIVERGES"
@@ -450,7 +453,7 @@ class _Eval:
             return out if out is not None else VBot
         if cls is Mark:
             raise PpcfError("marks have no direct denotation; "
-                            "strip or translate them first")
+                            "erase or translate them first")
         raise TypeError(f"not a term: {t!r}")
 
     def _fix(self, t: Fix, env: dict) -> VFix:
@@ -536,33 +539,28 @@ def ground_denot(t: Term, env: Optional[Mapping] = None,
 
 
 def _ground(t: Term, env: dict, cfg: SemConfig) -> GroundResult:
-    prev: Optional[Dist] = None
+    prev: Optional[GroundResult] = None
     untabled: set = set()
     for depth in _ladder_depths(cfg):
         ev = _Eval(cfg, depth, untabled)
-        dist = ev.obs(ev.eval(t, env))
+        try:
+            dist = ev.obs(ev.eval(t, env))
+        except RecursionError:
+            # a rung deeper than the Python stack ends the ladder at the
+            # last rung that finished; failing on the first rung, the
+            # input itself nests too deeply
+            if prev is None:
+                raise
+            return replace(prev, converged=False)
         res = GroundResult(dist, not ev.unconverged, depth,
                            frozenset(ev.diverging))
         if not ev.unrolled:
             return res
-        if prev is not None and dist.sup_diff(prev) < cfg.tol \
+        if prev is not None and dist.sup_diff(prev.dist) < cfg.tol \
                 and not ev.unconverged:
             return res
-        prev = dist
-    return GroundResult(dist, False, depth, res.diverging)
-
-
-def denot(t: Term, env: Optional[Mapping] = None,
-          cfg: SemConfig = DEFAULT_CONFIG):
-    """Denotation of a term under an environment of semantic values.
-
-    Ground-typed terms give a Dist as ``ground_denot`` does; other terms
-    give a function value at the full unrolling budget.
-    """
-    env = dict(env) if env else {}
-    if type(typecheck(t, _env_types(env))) is Nat:
-        return _ground(t, env, cfg).dist
-    return _Eval(cfg, cfg.fix_iters).eval(t, env)
+        prev = res
+    return replace(res, converged=False)
 
 
 def _env_types(env: Optional[Mapping]) -> dict:
@@ -583,16 +581,17 @@ def spy_denot(t: Term,
               seed_labels: Optional[set] = None,
               cfg: SemConfig = DEFAULT_CONFIG) -> GroundResult:
     """Denotation of spy(t) with each spy variable bound to its rate
-    times the point mass at 0.  Labels in seed_labels carry a dual
-    partial, so the result differentiates in their rates."""
+    times the point mass at 0.  ``rates`` maps labels to rates; a label
+    it leaves out, or every label when it is None, gates at rate 1.
+    Labels in seed_labels carry a dual partial, so the result
+    differentiates in their rates."""
     varmap = default_spy_vars(t)
     spied = spy(t, varmap)
     if seed_labels is None:
         seed_labels = set(varmap)
     env = {}
     for label, name in varmap.items():
-        r = 1.0 if rates is None else float(rates.get(label, 1.0)) \
-            if isinstance(rates, Mapping) else float(rates)
+        r = 1.0 if rates is None else float(rates.get(label, 1.0))
         if not (0.0 <= r <= 1.0):
             raise PpcfError(f"rate for {label!r} must lie in [0,1], got {r}")
         c: Scalar = Dual(r, {label: 1.0}) if label in seed_labels else r
@@ -605,19 +604,21 @@ def expected_count(t: Term, label: str,
     """Expected uses of a mark among converging runs, by semantic
     differentiation at gate rate 1.
 
-    The raw value is the derivative of the convergence mass in the
-    label's rate; dividing by the convergence probability of the
-    stripped program conditions on convergence.  A derivative that
+    One evaluation of the spied program, with the label's gate seeded,
+    gives both numbers.  The raw value is the partial of the convergence
+    mass in the label's rate.  The value of that mass is the convergence
+    probability, since at rate 1 every gate multiplies by exactly 1.0;
+    dividing by it conditions on convergence.  A derivative that
     passes through a singular I - J (see ``fixpoints.PIVOT_MARGIN``),
-    or is not within the divergence threshold, is reported as
+    or is not within ``DIVERGENCE_THRESHOLD``, is reported as
     DIVERGES.  A cut budget is not divergence: it gives the estimate,
     unconverged.
     """
     res = spy_denot(t, None, {label}, cfg)
     raw = sparts(res.dist.mass0()).get(label, 0.0)
-    p_conv = prob_zero(strip(t), cfg)
+    p_conv = sval(res.dist.mass0())
 
-    if label in res.diverging or not abs(raw) <= cfg.divergence_threshold:
+    if label in res.diverging or not abs(raw) <= DIVERGENCE_THRESHOLD:
         return ExpectedCount(label, DIVERGES, None, None, p_conv, False)
     if p_conv <= 0.0:
         return ExpectedCount(label, UNDEFINED, raw, None, p_conv,

@@ -170,15 +170,6 @@ def loop(ty: Type) -> Fix:
     return Fix(Lam("x", ty, Var("x")))
 
 
-def is_loop(t: Term) -> bool:
-    return (
-        type(t) is Fix
-        and type(t.arg) is Lam
-        and type(t.arg.body) is Var
-        and t.arg.body.name == t.arg.name
-    )
-
-
 # ---------------------------------------------------------------------------
 # term shape: the subterms of each constructor, and walks over them
 

@@ -185,6 +185,28 @@ def test_deep_input_exits_2(capsys, programs):
         assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["denot", "SLOW", "--rate", "t=1"],
+    ["expect", "SLOW", "--label", "t", "--tol", "1e-12"],
+])
+def test_ladder_rung_too_deep_for_the_stack_is_unconverged(capsys, programs,
+                                                           argv):
+    # the ladder climbs past rung 256, which 0.99^256 of mass still
+    # reaches, to a rung whose unrolling exhausts the Python stack: that
+    # ends the ladder at the last finished rung, not as bad input
+    slow = programs("slow", r"(fix (\F:(nat->nat)->nat->nat. \k:nat->nat. "
+                    r"\x:nat. ifz dice(1/100) then k x else F k x)) "
+                    r"(\z:nat. mark[t] z) 0")
+    rc, out = run_cli(capsys, *(slow if a == "SLOW" else a for a in argv))
+    assert rc == 0
+    if argv[0] == "denot":
+        assert out["converged"] is False and out["depth"] >= 64
+        assert 0.4 < out["dist"]["coords"][0]["v"] < 1.0
+    else:
+        assert out["dual"]["converged"] is False
+        assert out["dual"]["conditional"] == pytest.approx(1.0)
+
+
 @pytest.mark.parametrize("op, converged", [("pred", 1), ("succ", 0)])
 def test_deep_chain_runs_under_eval(capsys, programs, op, converged):
     # the value returns through 10^4 frames after the coin; every run

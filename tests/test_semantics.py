@@ -3,16 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+from ppcf import corpus
 from ppcf.fixpoints import tabled
 from ppcf.machine import enumerate_paths, init_state
 from ppcf.progen import gen_corpus
 from ppcf.semantics import (
     DIVERGES, OK, UNDEFINED, Dist, Dual, PrecisionError, SemConfig, _Eval,
-    denot, expected_count, finite_difference_check, ground_denot, prob_zero,
+    expected_count, finite_difference_check, ground_denot, prob_zero,
     spy_denot, sparts, sval,
 )
 from ppcf.syntax import (
-    App, Fix, Mark, PpcfError, make_mq, num, parse_term, subterms,
+    App, Fix, Mark, PpcfError, labels_of, make_mq, num, parse_term,
+    subterms, to_text,
 )
 from ppcf.translate import strip
 
@@ -124,13 +126,53 @@ def test_newton_iterates_monotone():
 
 def test_value_dependent_arguments_fall_back_to_the_ladder():
     # f (f x) calls the table at its own values, so keys keep appearing
-    # as they move; the family unrolls instead, and finds the answer 1
-    t = parse_term("(fix (\\f:nat->nat. \\x:nat. "
-                   "ifz dice(3/5) then 0 else f (f x))) 1")
+    # as they move; the family unrolls instead, and finds the answer 1.
+    # A beta or let binding carries the values to the outer call too.
+    for call in ["f (f x)", r"(\y:nat. f y) (f x)", "let y = f x in f y"]:
+        t = parse_term(r"(fix (\f:nat->nat. \x:nat. "
+                       f"ifz dice(3/5) then 0 else {call})) 1")
+        assert not tabled(t.fun.arg), call
+        gr = ground_denot(t, None, CFG)
+        assert gr.converged and gr.depth > 8, call
+        assert gr.dist.coords.keys() == {0}, call
+        assert sval(gr.dist.mass0()) == pytest.approx(1.0, abs=CFG.tol)
+
+
+@pytest.mark.parametrize("src, want", [
+    # f(0) and f(1) call each other: one component of 4 coordinates
+    (r"(fix (\f:nat->nat. \x:nat. ifz dice(1/2) then x "
+     r"else f (ifz x then 1 else 0))) 0", {0: 2 / 3, 1: 1 / 3}),
+    # f(0) reads itself three times: one entry of 2 coordinates, and a
+    # quadratic system
+    (r"(fix (\f:nat->nat. \x:nat. ifz dice(1/3) then dice(1/4) "
+     r"else ifz f x then f x else f x)) 0", {0: 1 / 8, 1: 3 / 8}),
+])
+def test_newton_solves_components_of_several_coordinates(src, want):
+    gr = ground_denot(parse_term(src), None, CFG)
+    assert gr.converged and gr.depth == 8
+    assert {n: sval(c) for n, c in gr.dist.coords.items()} == want
+
+
+# two entries, f(0) and f(1), each with 3 coordinates, read through
+# products of their own values
+NONLINEAR = (r"(fix (\f:nat->nat. \x:nat. ifz dice(1/2) then x "
+             r"else ifz f (ifz x then 1 else 0) "
+             r"then f (ifz x then 1 else 0) else 2)) ")
+
+
+def test_nonlinear_component_within_enumeration_and_differences():
+    t = parse_term(NONLINEAR + "0")
     gr = ground_denot(t, None, CFG)
-    assert gr.converged and gr.depth > 8
-    assert gr.dist.coords.keys() == {0}
-    assert sval(gr.dist.mass0()) == pytest.approx(1.0, abs=CFG.tol)
+    assert gr.converged and gr.depth == 8
+    res = enumerate_paths(init_state(t), max_choices=20)
+    p = sval(gr.dist.mass0())
+    assert float(res.converged_mass) <= p \
+        <= float(res.converged_mass + res.open_mass)
+    assert p - float(res.converged_mass) < 1e-5
+    # a central difference of step h is off by O(h^2) = 1e-10
+    chk = finite_difference_check(parse_term(NONLINEAR + "(mark[t] 0)"),
+                                  "t", 1e-5, CFG)
+    assert chk.abs_err <= 1e-10, chk
 
 
 @pytest.mark.parametrize("src, want", [
@@ -195,13 +237,6 @@ def test_mq_closed_forms():
         assert prob_zero(t, CFG) == pytest.approx(want, abs=1e-9), q
 
 
-def test_denot_shapes():
-    from ppcf.semantics import Dist
-    d = denot(parse_term("dice(1/2)"))
-    assert isinstance(d, Dist)
-    assert not isinstance(denot(parse_term(r"\x:nat. x")), Dist)
-
-
 def test_spy_denot_rates():
     t = parse_term("mark[a] 0")
     r = spy_denot(t, {"a": Fraction(2, 5)})
@@ -213,6 +248,31 @@ def test_spy_denot_rates():
     assert sval(spy_denot(t, {}).dist.mass0()) == 1.0
     with pytest.raises(PpcfError):
         spy_denot(t, {"a": Fraction(7, 5)})   # rate out of range
+
+
+def _identity_cases():
+    for k in range(101):
+        yield App(make_mq(Fraction(k, 100)), Mark(num(0), "t")), "t"
+    for name in ("mq025_marked", "mq075_marked", "letpair"):
+        t = corpus.load_program(name)
+        for label in sorted(labels_of(t)):
+            yield t, label
+    for t in gen_corpus(100, 7, labeled=True):
+        for label in sorted(labels_of(t)):
+            yield t, label
+
+
+def test_expected_count_p_conv_is_the_stripped_convergence_mass():
+    # at rate 1 every spy gate multiplies by exactly 1.0, and the value
+    # parts of Dual arithmetic are the float operations themselves, so
+    # the seeded evaluation's mass is the stripped program's, bit for bit
+    n = 0
+    for t, label in _identity_cases():
+        for cfg in (SemConfig(), CFG):
+            got = expected_count(t, label, cfg).p_conv
+            assert got == prob_zero(strip(t), cfg), (to_text(t), label)
+            n += 1
+    assert n > 500
 
 
 def test_expected_count_letpair():
@@ -278,8 +338,6 @@ def test_open_fix_gets_a_family_per_visit():
 @pytest.mark.parametrize("kw", [
     {"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf},
     {"nmax": 0}, {"fix_iters": 0},
-    {"divergence_threshold": math.nan}, {"divergence_threshold": math.inf},
-    {"divergence_threshold": 0.0}, {"divergence_threshold": -1.0},
 ])
 def test_bad_config_rejected(kw):
     with pytest.raises(PpcfError):

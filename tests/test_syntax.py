@@ -8,7 +8,7 @@ from ppcf.progen import gen_corpus, gen_program
 from ppcf.syntax import (
     NAT, App, Arrow, Dice, Fix, Ifz, Lam, Let, Mark, Num, Pred,
     PpcfSyntaxError, PpcfTypeError, Succ, Var, all_names, children, fold,
-    free_vars, is_loop, labels_of, loop, make_mq, num, parse_term,
+    free_vars, labels_of, loop, make_mq, num, parse_term,
     parse_type, rebuild, subst, subterms, to_text, type_to_text, typecheck,
 )
 from ppcf.translate import spy, strip
@@ -151,12 +151,6 @@ def test_free_vars_and_names():
     assert {"x", "y", "z"} <= set(all_names(t))
     assert labels_of(t) == {"l"}
     assert labels_of(parse_term("0")) == frozenset()
-
-
-def test_loop_recognition():
-    assert is_loop(loop(NAT))
-    assert is_loop(loop(Arrow(NAT, NAT)))
-    assert not is_loop(parse_term("fix (\\x:nat. succ x)"))
 
 
 def test_subst_shadowing():
