@@ -13,7 +13,7 @@ the machine's label counts equals the lcof program's convergence mass.
 from fractions import Fraction
 
 from ppcf import enumerate_paths, init_state, lcof, parse_term, spy, strip, to_text
-from ppcf.semantics import prob_zero, spy_denot, sval
+from ppcf.semantics import ground_denot, prob_zero, sval
 from ppcf.translate import default_spy_vars
 
 SRC = """
@@ -55,9 +55,11 @@ print(f"lcof converged mass      = {rhs}")
 assert lhs == rhs
 
 # The semantics can evaluate the same quantity two more ways: numerically
-# on the gated program, or by substituting rates for the spy variables.
+# on the gated program, or on the original with each mark gated at its
+# rate inside the evaluator, which is what binding the spy variables to
+# the rates computes.
 num_gated = prob_zero(gated)
-num_spied = sval(spy_denot(t, rates=rates).dist.coords[0])
+num_spied = sval(ground_denot(t, rates=rates).dist.coords[0])
 print(f"denotation of lcof       = {num_gated:.12f}")
-print(f"spy denotation at rates  = {num_spied:.12f}")
+print(f"marks gated at rates     = {num_spied:.12f}")
 print(f"exact value              = {float(lhs):.12f}")

@@ -10,7 +10,7 @@ from .machine import enumerate_paths, init_state, run, sample, split_seed
 from .translate import lcof, spy, strip
 from .semantics import (
     SemConfig, expected_count, finite_difference_check, ground_denot,
-    prob_zero, spy_denot,
+    prob_zero,
 )
 
 __version__ = "0.1.0"
@@ -23,6 +23,6 @@ __all__ = [
     "enumerate_paths", "init_state", "run", "sample", "split_seed",
     "lcof", "spy", "strip",
     "SemConfig", "expected_count", "finite_difference_check", "ground_denot",
-    "prob_zero", "spy_denot",
+    "prob_zero",
     "__version__",
 ]

@@ -192,6 +192,7 @@ def cmd_denot(args) -> int:
     t = _load(args.file)
     cfg = _sem_config(args)
     labels = labels_of(t)
+    rates, seed = None, ()
     if labels:
         rates = _rate_map(args.rate)
         missing = labels - rates.keys()
@@ -199,10 +200,9 @@ def cmd_denot(args) -> int:
             print(f"error: labels without --rate: {sorted(missing)}",
                   file=sys.stderr)
             return EXIT_USAGE
-        seed = set(labels) if args.seed_labels else set()
-        res = semantics.spy_denot(t, rates, seed, cfg)
-    else:
-        res = semantics.ground_denot(t, None, cfg)
+        if args.seed_labels:
+            seed = labels
+    res = semantics.ground_denot(t, cfg, rates, seed)
     _emit({"dist": _dist_json(res.dist), "converged": res.converged,
            "depth": res.depth})
     return 0
@@ -246,7 +246,7 @@ def cmd_expect(args) -> int:
 
 def cmd_dist(args) -> int:
     t1, t2 = _load(args.left), _load(args.right)
-    d = observe.denot_dist_nat(strip(t1), strip(t2), _sem_config(args))
+    d = observe.denot_dist_nat(t1, t2, _sem_config(args))
     _emit({"distance": d})
     return 0
 
@@ -329,7 +329,7 @@ def cmd_check(args) -> int:
             ctxs = corpus.parse_contexts(_read(args.contexts))
         else:
             ctxs = corpus.load_contexts()
-        p = Fraction(str(args.p)).limit_denominator(10**6)
+        p = Fraction(str(args.p))
         rep = observe.tamed_bound_check(left, right, p, ctxs)
     except (PpcfError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

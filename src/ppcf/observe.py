@@ -72,8 +72,8 @@ def denot_dist_nat(m1: Term, m2: Term, cfg: SemConfig = DEFAULT_CONFIG
                    ) -> float:
     """Distance of two ground denotations: the simplex norm of the
     symmetric difference, with the overflow bucket as an extra point."""
-    d1 = ground_denot(m1, None, cfg).dist
-    d2 = ground_denot(m2, None, cfg).dist
+    d1 = ground_denot(m1, cfg).dist
+    d2 = ground_denot(m2, cfg).dist
     total = abs(sval(d1.overflow) - sval(d2.overflow))
     for n in d1.coords.keys() | d2.coords.keys():
         total += abs(sval(d1.coords.get(n, 0.0)) - sval(d2.coords.get(n, 0.0)))

@@ -8,6 +8,14 @@ parameters, so differentiating the semantics in a gate rate costs one
 evaluation.  Differentiating at rate 1 recovers the expected number of
 times the gated subterm is used among converging runs.
 
+A mark is a gate inside the evaluator.  In the coherence-space model
+``ifz x then M else Ω`` with x = r times the point mass at 0 denotes
+r times M, so ``mark[l] M`` denotes its label's gate times M: the
+label's rate, a dual number when the label is seeded, and 1 when no
+rate is given.  These are the float operations that the spy translation
+(``ppcf.translate.spy``) bound to r would run, so both give the same
+bits; a zero gate does not evaluate its body.
+
 Ground vectors are truncated at ``nmax`` with a lumped overflow bucket:
 succ shifts into it, ifz counts it as nonzero, and pred or let refuse
 to guess what is inside it (a precision error above ``tol``).
@@ -51,18 +59,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Union
+from typing import Collection, Mapping, Optional, Union
 
 from .syntax import (
-    NAT, App, Dice, Fix, Ifz, Lam, Let, Mark, Nat, Num, Pred, PpcfError,
-    Succ, Term, Var, free_vars, typecheck,
+    App, Dice, Fix, Ifz, Lam, Let, Mark, Nat, Num, Pred, PpcfError,
+    Succ, Term, Var, free_vars, labels_of, typecheck,
 )
-from .translate import default_spy_vars, spy
 
 __all__ = [
     "Dual", "Dist", "SemConfig", "GroundResult", "ExpectedCount", "FdCheck",
     "PrecisionError", "Closure", "VBot", "VFix", "VSum",
-    "ground_denot", "prob_zero", "spy_denot", "expected_count",
+    "ground_denot", "prob_zero", "expected_count",
     "finite_difference_check", "OK", "DIVERGES", "UNDEFINED",
     "DIVERGENCE_THRESHOLD",
 ]
@@ -386,9 +393,13 @@ def _add_val(a, b):
 
 class _Eval:
     def __init__(self, cfg: SemConfig, depth: int,
+                 gates: Optional[Mapping[str, Scalar]] = None,
                  untabled: Optional[set] = None):
         self.cfg = cfg
         self.depth = depth          # unrolling budget for ladder families
+        # label -> the scalar its marks scale by; a label without one
+        # gates at 1.0
+        self.gates = gates if gates is not None else {}
         self.unrolled = False       # did a ladder family run?
         self.unconverged = False
         self.diverging: set = set()  # see GroundResult
@@ -452,8 +463,11 @@ class _Eval:
                 out = _add_val(out, _scale_val(c, self.eval(t.body, env2)))
             return out if out is not None else VBot
         if cls is Mark:
-            raise PpcfError("marks have no direct denotation; "
-                            "erase or translate them first")
+            # the gate scales the body (see the module docstring)
+            c = self.gates.get(t.label, 1.0)
+            out = None if _szero(c) else \
+                _scale_val(c, self.eval(t.body, env))
+            return out if out is not None else VBot
         raise TypeError(f"not a term: {t!r}")
 
     def _fix(self, t: Fix, env: dict) -> VFix:
@@ -525,26 +539,34 @@ def _ladder_depths(cfg: SemConfig):
         d *= 2
 
 
-def ground_denot(t: Term, env: Optional[Mapping] = None,
-                 cfg: SemConfig = DEFAULT_CONFIG) -> GroundResult:
-    """Observation of a term of type nat.  Tables are solved in place;
-    unrolled fixpoints drive the depth ladder until the observation
-    stabilises."""
-    env = dict(env) if env else {}
-    ty = typecheck(t, _env_types(env))
+def ground_denot(t: Term, cfg: SemConfig = DEFAULT_CONFIG,
+                 rates: Optional[Mapping[str, object]] = None,
+                 seed_labels: Collection[str] = ()) -> GroundResult:
+    """Observation of a closed term of type nat.
+
+    Each mark scales its body by its label's gate: the label's rate in
+    ``rates``, or 1 when ``rates`` is None or leaves the label out, so
+    without rates marks are transparent.  Labels in ``seed_labels``
+    carry a dual partial, so the result differentiates in their rates.
+    Tables are solved in place; unrolled fixpoints drive the depth
+    ladder until the observation stabilises."""
+    ty = typecheck(t)
     if type(ty) is not Nat:
         raise PpcfError(f"only a term of type nat has a ground "
                         f"denotation; this one has type {ty}")
-    return _ground(t, env, cfg)
+    gates: dict[str, Scalar] = {}
+    for label in labels_of(t):
+        r = 1.0 if rates is None else float(rates.get(label, 1.0))
+        if not (0.0 <= r <= 1.0):
+            raise PpcfError(f"rate for {label!r} must lie in [0,1], got {r}")
+        gates[label] = Dual(r, {label: 1.0}) if label in seed_labels else r
 
-
-def _ground(t: Term, env: dict, cfg: SemConfig) -> GroundResult:
     prev: Optional[GroundResult] = None
     untabled: set = set()
     for depth in _ladder_depths(cfg):
-        ev = _Eval(cfg, depth, untabled)
+        ev = _Eval(cfg, depth, gates, untabled)
         try:
-            dist = ev.obs(ev.eval(t, env))
+            dist = ev.obs(ev.eval(t, {}))
         except RecursionError:
             # a rung deeper than the Python stack ends the ladder at the
             # last rung that finished; failing on the first rung, the
@@ -563,40 +585,9 @@ def _ground(t: Term, env: dict, cfg: SemConfig) -> GroundResult:
     return replace(res, converged=False)
 
 
-def _env_types(env: Optional[Mapping]) -> dict:
-    # values in an environment are ground vectors unless built by hand;
-    # typecheck only needs *some* consistent typing, and ground covers
-    # every environment this package constructs itself.
-    return {name: NAT for name in (env or {})}
-
-
-def prob_zero(t: Term, cfg: SemConfig = DEFAULT_CONFIG,
-              env: Optional[Mapping] = None) -> float:
+def prob_zero(t: Term, cfg: SemConfig = DEFAULT_CONFIG) -> float:
     """Convergence probability: coordinate 0 of the denotation."""
-    return sval(ground_denot(t, env, cfg).dist.mass0())
-
-
-def spy_denot(t: Term,
-              rates: Optional[Mapping[str, object]] = None,
-              seed_labels: Optional[set] = None,
-              cfg: SemConfig = DEFAULT_CONFIG) -> GroundResult:
-    """Denotation of spy(t) with each spy variable bound to its rate
-    times the point mass at 0.  ``rates`` maps labels to rates; a label
-    it leaves out, or every label when it is None, gates at rate 1.
-    Labels in seed_labels carry a dual partial, so the result
-    differentiates in their rates."""
-    varmap = default_spy_vars(t)
-    spied = spy(t, varmap)
-    if seed_labels is None:
-        seed_labels = set(varmap)
-    env = {}
-    for label, name in varmap.items():
-        r = 1.0 if rates is None else float(rates.get(label, 1.0))
-        if not (0.0 <= r <= 1.0):
-            raise PpcfError(f"rate for {label!r} must lie in [0,1], got {r}")
-        c: Scalar = Dual(r, {label: 1.0}) if label in seed_labels else r
-        env[name] = Dist({0: c} if not _szero(c) else {})
-    return ground_denot(spied, env, cfg)
+    return sval(ground_denot(t, cfg).dist.mass0())
 
 
 def expected_count(t: Term, label: str,
@@ -604,17 +595,16 @@ def expected_count(t: Term, label: str,
     """Expected uses of a mark among converging runs, by semantic
     differentiation at gate rate 1.
 
-    One evaluation of the spied program, with the label's gate seeded,
-    gives both numbers.  The raw value is the partial of the convergence
-    mass in the label's rate.  The value of that mass is the convergence
-    probability, since at rate 1 every gate multiplies by exactly 1.0;
-    dividing by it conditions on convergence.  A derivative that
-    passes through a singular I - J (see ``fixpoints.PIVOT_MARGIN``),
-    or is not within ``DIVERGENCE_THRESHOLD``, is reported as
-    DIVERGES.  A cut budget is not divergence: it gives the estimate,
+    One evaluation, with the label's gate seeded, gives both numbers.
+    The raw value is the partial of the convergence mass in the label's
+    rate.  The value of that mass is the convergence probability, since
+    at rate 1 every gate multiplies by exactly 1.0; dividing by it
+    conditions on convergence.  A derivative that passes through a
+    singular I - J (see ``fixpoints.PIVOT_MARGIN``), or is not within
+    ``DIVERGENCE_THRESHOLD``, is reported as DIVERGES.  A cut budget is not divergence: it gives the estimate,
     unconverged.
     """
-    res = spy_denot(t, None, {label}, cfg)
+    res = ground_denot(t, cfg, seed_labels={label})
     raw = sparts(res.dist.mass0()).get(label, 0.0)
     p_conv = sval(res.dist.mass0())
 
@@ -639,10 +629,10 @@ def finite_difference_check(t: Term, label: str, h: float,
     at = 1.0 - h
 
     def f(r: float) -> float:
-        return sval(spy_denot(t, {label: r}, set(), cfg).dist.mass0())
+        return sval(ground_denot(t, cfg, {label: r}).dist.mass0())
 
     dual = sparts(
-        spy_denot(t, {label: at}, {label}, cfg).dist.mass0()
+        ground_denot(t, cfg, {label: at}, {label}).dist.mass0()
     ).get(label, 0.0)
     central = (f(at + h) - f(at - h)) / (2.0 * h)
     return FdCheck(label, h, at, dual, central)

@@ -6,7 +6,9 @@ probability of the gated program equals the label-count generating
 function of the original evaluated at the gate rates.  ``spy`` replaces
 ``mark[l] M`` with ``ifz x_l then M else loop`` for a fresh variable
 x_l, turning the gate rate into a semantic argument one can
-differentiate in.
+differentiate in.  The semantics does not run this rewrite: it applies
+each gate where it meets the mark (see ``ppcf.semantics``), with the
+same float operations, so ``spy`` is the printed form of those gates.
 
 All three are ``syntax.fold`` walks, so terms of any depth work.  The
 divergent arm must sit at the type of the marked subterm, so the gating

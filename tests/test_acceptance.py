@@ -21,7 +21,7 @@ from ppcf.pcs import (
 from ppcf.progen import gen_corpus
 from ppcf.semantics import (
     DIVERGES, OK, UNDEFINED, SemConfig, expected_count,
-    finite_difference_check, prob_zero, spy_denot, sval,
+    finite_difference_check, ground_denot, prob_zero, sval,
 )
 from ppcf.syntax import App, Dice, Fix, Mark, labels_of, make_mq, num
 from ppcf.translate import lcof, strip
@@ -222,7 +222,7 @@ def test_translation_coherence():
         rgate = enumerate_paths(init_state(gated), max_choices=96)
         assert rgate.open_mass == 0
         assert lhs == rgate.converged_mass, (i, lhs, rgate.converged_mass)
-        spy_mass = sval(spy_denot(t, rates, None, CFG12).dist.mass0())
+        spy_mass = sval(ground_denot(t, CFG12, rates).dist.mass0())
         gap = abs(spy_mass - prob_zero(gated, CFG12))
         assert gap <= 1e-6, (i, gap)
         worst = max(worst, gap)

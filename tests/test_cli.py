@@ -388,3 +388,23 @@ def test_console_entry_point(tmp_path):
     assert r1.returncode == 0
     assert r1.stdout == r2.stdout       # byte-identical
     assert json.loads(r1.stdout)["converged_mass"] == "1"
+
+
+def test_check_tamed_treats_marks_as_transparent(capsys, programs):
+    # like dist, check tamed gates every mark at 1
+    runs = []
+    for left in ("mq075", "mq075_marked"):
+        rc = main(["--quiet", "check", "tamed", "--left", programs(left),
+                   "--right", programs("zero")])
+        runs.append((rc, capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+
+
+@pytest.mark.parametrize("arg, p", [
+    ("0.3333333", 0.3333333), ("0.9999999", 0.9999999), ("0.0000001", 1e-7),
+])
+def test_check_tamed_keeps_p_as_given(capsys, arg, p):
+    rc, out = run_cli(capsys, "check", "tamed", "--p", arg)
+    assert rc == 0 and out["p"] == p
+    assert out["bound"] == p / (1.0 - p) * out["denot_distance"] + 1e-6

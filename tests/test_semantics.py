@@ -10,7 +10,7 @@ from ppcf.progen import gen_corpus
 from ppcf.semantics import (
     DIVERGES, OK, UNDEFINED, Dist, Dual, PrecisionError, SemConfig, _Eval,
     expected_count, finite_difference_check, ground_denot, prob_zero,
-    spy_denot, sparts, sval,
+    sparts, sval,
 )
 from ppcf.syntax import (
     App, Fix, Mark, PpcfError, labels_of, make_mq, num, parse_term,
@@ -103,7 +103,7 @@ def test_adequacy_against_enumeration_exact():
         t = strip(t)
         res = enumerate_paths(init_state(t))
         assert res.open_mass == 0
-        gr = ground_denot(t, None, CFG)
+        gr = ground_denot(t, CFG)
         assert gr.converged and gr.depth == 8
         assert sval(gr.dist.mass0()) == pytest.approx(
             float(res.converged_mass), abs=1e-9)
@@ -113,7 +113,7 @@ def test_newton_iterates_monotone():
     # fix_iters cuts the table's Newton steps, so the k-th budget gives
     # the k-th iterate: each is >= the last and <= the fixpoint
     t = App(make_mq(Fraction(3, 4)), num(0))
-    gr = ground_denot(t, None, CFG)
+    gr = ground_denot(t, CFG)
     assert gr.converged
     top = sval(gr.dist.mass0())
     masses = [prob_zero(t, SemConfig(tol=1e-12, fix_iters=k))
@@ -121,7 +121,7 @@ def test_newton_iterates_monotone():
     assert masses[0] < masses[-1]
     assert all(a <= b for a, b in zip(masses, masses[1:]))
     assert all(m <= top for m in masses)
-    assert not ground_denot(t, None, SemConfig(fix_iters=3)).converged
+    assert not ground_denot(t, SemConfig(fix_iters=3)).converged
 
 
 def test_value_dependent_arguments_fall_back_to_the_ladder():
@@ -132,7 +132,7 @@ def test_value_dependent_arguments_fall_back_to_the_ladder():
         t = parse_term(r"(fix (\f:nat->nat. \x:nat. "
                        f"ifz dice(3/5) then 0 else {call})) 1")
         assert not tabled(t.fun.arg), call
-        gr = ground_denot(t, None, CFG)
+        gr = ground_denot(t, CFG)
         assert gr.converged and gr.depth > 8, call
         assert gr.dist.coords.keys() == {0}, call
         assert sval(gr.dist.mass0()) == pytest.approx(1.0, abs=CFG.tol)
@@ -148,7 +148,7 @@ def test_value_dependent_arguments_fall_back_to_the_ladder():
      r"else ifz f x then f x else f x)) 0", {0: 1 / 8, 1: 3 / 8}),
 ])
 def test_newton_solves_components_of_several_coordinates(src, want):
-    gr = ground_denot(parse_term(src), None, CFG)
+    gr = ground_denot(parse_term(src), CFG)
     assert gr.converged and gr.depth == 8
     assert {n: sval(c) for n, c in gr.dist.coords.items()} == want
 
@@ -162,7 +162,7 @@ NONLINEAR = (r"(fix (\f:nat->nat. \x:nat. ifz dice(1/2) then x "
 
 def test_nonlinear_component_within_enumeration_and_differences():
     t = parse_term(NONLINEAR + "0")
-    gr = ground_denot(t, None, CFG)
+    gr = ground_denot(t, CFG)
     assert gr.converged and gr.depth == 8
     res = enumerate_paths(init_state(t), max_choices=20)
     p = sval(gr.dist.mass0())
@@ -191,7 +191,7 @@ def test_recursive_variable_passed_as_value_is_not_a_table(src, want):
     t = parse_term(src)
     fixes = [s for s in subterms(t) if type(s) is Fix]
     assert fixes and not any(tabled(s.arg) for s in fixes)
-    gr = ground_denot(t, None, CFG)
+    gr = ground_denot(t, CFG)
     assert gr.converged and gr.depth > 8
     got = {n: sval(c) for n, c in gr.dist.coords.items()}
     assert got.keys() == want.keys()
@@ -205,7 +205,7 @@ def test_table_discovery_precision_error_falls_back_to_the_ladder():
     # stops at a depth where that weight is negligible
     t = parse_term(r"(fix (\f:nat->nat. \x:nat. ifz dice(9/10) then x "
                    r"else f (ifz dice(1/2) then pred x else succ x))) 20")
-    gr = ground_denot(t, None, CFG)
+    gr = ground_denot(t, CFG)
     assert gr.converged
     want: dict = {}
     walk = {20: 1.0}
@@ -237,17 +237,17 @@ def test_mq_closed_forms():
         assert prob_zero(t, CFG) == pytest.approx(want, abs=1e-9), q
 
 
-def test_spy_denot_rates():
+def test_ground_denot_rates():
     t = parse_term("mark[a] 0")
-    r = spy_denot(t, {"a": Fraction(2, 5)})
+    r = ground_denot(t, rates={"a": Fraction(2, 5)})
     assert sval(r.dist.mass0()) == pytest.approx(0.4, abs=1e-15)
-    seeded = spy_denot(t, {"a": Fraction(2, 5)}, {"a"})
+    seeded = ground_denot(t, rates={"a": Fraction(2, 5)}, seed_labels={"a"})
     assert sval(seeded.dist.mass0()) == pytest.approx(0.4, abs=1e-15)
     assert sparts(seeded.dist.mass0()) == {"a": 1.0}
     # a label without a rate gates at the neutral rate 1
-    assert sval(spy_denot(t, {}).dist.mass0()) == 1.0
+    assert sval(ground_denot(t, rates={}).dist.mass0()) == 1.0
     with pytest.raises(PpcfError):
-        spy_denot(t, {"a": Fraction(7, 5)})   # rate out of range
+        ground_denot(t, rates={"a": Fraction(7, 5)})   # rate out of range
 
 
 def _identity_cases():
@@ -263,7 +263,7 @@ def _identity_cases():
 
 
 def test_expected_count_p_conv_is_the_stripped_convergence_mass():
-    # at rate 1 every spy gate multiplies by exactly 1.0, and the value
+    # at rate 1 every gate multiplies by exactly 1.0, and the value
     # parts of Dual arithmetic are the float operations themselves, so
     # the seeded evaluation's mass is the stripped program's, bit for bit
     n = 0
@@ -273,6 +273,21 @@ def test_expected_count_p_conv_is_the_stripped_convergence_mass():
             assert got == prob_zero(strip(t), cfg), (to_text(t), label)
             n += 1
     assert n > 500
+
+
+def test_marks_are_transparent_at_rate_one():
+    # with no rates every gate is 1.0, and scaling by 1.0 changes no bit
+    marked = [corpus.load_program(n)
+              for n in ("mq025_marked", "mq075_marked", "letpair")]
+    n = 0
+    for t in marked + gen_corpus(100, 7, labeled=True):
+        for cfg in (SemConfig(), CFG):
+            got, want = ground_denot(t, cfg), ground_denot(strip(t), cfg)
+            assert repr(got.dist) == repr(want.dist), to_text(t)
+            assert (got.converged, got.depth) \
+                == (want.converged, want.depth)
+            n += 1
+    assert n == 206
 
 
 def test_expected_count_letpair():
@@ -311,7 +326,7 @@ def test_finite_difference_agreement():
 
 def test_unconverged_is_reported():
     cfg = SemConfig(tol=1e-12, fix_iters=8)
-    gr = ground_denot(App(make_mq(Fraction(1, 2)), num(0)), None, cfg)
+    gr = ground_denot(App(make_mq(Fraction(1, 2)), num(0)), cfg)
     assert not gr.converged
 
 

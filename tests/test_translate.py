@@ -1,13 +1,19 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from ppcf import corpus
 from ppcf.machine import enumerate_paths, init_state
 from ppcf.progen import gen_corpus
-from ppcf.semantics import SemConfig, prob_zero, spy_denot, sval
+from ppcf.semantics import (
+    Dist, Dual, PrecisionError, SemConfig, _Eval, _szero, ground_denot,
+    prob_zero, sval,
+)
 from ppcf.syntax import (
-    NAT, Arrow, Dice, Ifz, Mark, PpcfError, PpcfTypeError, Var, free_vars,
-    labels_of, parse_term, subterms, typecheck,
+    NAT, App, Arrow, Dice, Ifz, Mark, PpcfError, PpcfTypeError, Var,
+    free_vars, labels_of, make_mq, num, parse_term, subterms, to_text,
+    typecheck,
 )
 from ppcf.translate import default_spy_vars, lcof, spy, strip
 
@@ -116,7 +122,7 @@ def test_counting_identity_exact_on_letpair():
 def test_spy_denotation_matches_lcof():
     cfg = SemConfig(tol=1e-12)
     rates = {"a": Fraction(3, 7), "b": Fraction(1, 2)}
-    via_spy = sval(spy_denot(LETPAIR, rates, None, cfg).dist.mass0())
+    via_spy = sval(ground_denot(LETPAIR, cfg, rates).dist.mass0())
     via_lcof = prob_zero(lcof(LETPAIR, rates), cfg)
     assert abs(via_spy - via_lcof) < 1e-9
 
@@ -140,3 +146,50 @@ def test_nested_marks_gate_in_one_pass():
     assert typecheck(out, {"r_a": NAT}) == NAT
     assert sum(type(s) is Ifz for s in subterms(out)) == n
     assert sum(type(s) is Dice for s in subterms(lcof(t, {"a": 1}))) == n
+
+
+def _reference_cases():
+    for k in range(101):
+        yield App(make_mq(Fraction(k, 100)), Mark(num(0), "t"))
+    for name in ("mq025_marked", "mq075_marked", "letpair"):
+        yield corpus.load_program(name)
+    yield from gen_corpus(150, 77, labeled=True)
+    yield parse_term("(mark[f] (\\x:nat. x)) dice(1/2)")
+    yield parse_term(
+        "(fix (\\F:(nat->nat)->nat->nat. \\k:nat->nat. \\x:nat. "
+        "ifz dice(1/2) then mark[a] (k x) "
+        "else F (\\y:nat. mark[b] (k y)) x)) (\\z:nat. z) 0")
+
+
+def test_direct_gates_equal_the_spy_denotation_bit_for_bit():
+    # the spy variable of each label bound to c times the point mass at
+    # 0, against the evaluator scaling each mark by c where it meets it
+    cfg = SemConfig()
+    n = 0
+    for t in _reference_cases():
+        varmap = default_spy_vars(t)
+        spied = spy(t, varmap)
+        for rate, seeded in itertools.product(
+                (0.0, Fraction(2, 5), Fraction(5, 7), 1.0), (False, True)):
+            gates = {l: Dual(float(rate), {l: 1.0}) if seeded
+                     else float(rate) for l in varmap}
+            env = {varmap[l]: Dist({} if _szero(c) else {0: c})
+                   for l, c in gates.items()}
+            for depth in (8, 64):
+                ref, ev = _Eval(cfg, depth), _Eval(cfg, depth, gates)
+                want = ref.obs(ref.eval(spied, env))
+                got = ev.obs(ev.eval(t, {}))
+                assert repr(got) == repr(want), (to_text(t), rate, seeded)
+                assert ev.unconverged == ref.unconverged
+                assert ev.diverging == ref.diverging
+                n += 1
+    assert n > 3000
+
+
+def test_zero_gate_skips_its_body():
+    # at rate 1 the pred meets overflow mass; at rate 0 it never runs
+    t = parse_term("mark[a] (pred " + "succ " * 65 + "0)")
+    assert repr(ground_denot(t, rates={"a": 0}).dist) \
+        == repr(Dist({}, 0.0))
+    with pytest.raises(PrecisionError):
+        ground_denot(t)
