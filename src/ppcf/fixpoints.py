@@ -1,14 +1,16 @@
 """How the evaluator solves fix nodes: one ``Family`` per evaluation of
-a fix node, which is a table, a ground Kleene iterate or an unrolling.
+a fix node, which is a table or an unrolling.
 
-*Tables.*  A fix whose recursive variable is annotated ``nat -> nat``,
-whose calls take no argument computed from its own values, and whose
-body passes no function that calls it as a value (``tabled``), is a
-table: each ground argument the program calls it with, keyed by
-``Dist.fingerprint``, maps to the fixpoint's value there.  The table is
-a monotone polynomial system u = F(u), where F evaluates the functional
-at an argument with the table standing for the recursive variable.  A
-call with a new argument starts a solve, in three stages.
+*Tables.*  A fix of a lambda whose variable is annotated ``nat``, or
+``nat -> nat`` with no call taking an argument computed from its own
+values and no function that calls it passed as a value, is a table
+(``tabled``): each ground argument the program calls it with, keyed by
+``Dist.fingerprint``, maps to the fixpoint's value there, and a ground
+fixpoint has the one key None.  The table is a monotone polynomial
+system u = F(u), where F evaluates the functional at an argument with
+the table standing for the recursive variable (at None, with the
+entry's current value standing for it).  A call with a new argument
+starts a solve, in three stages.
 
 1. Discovery.  A worklist evaluates F at each new argument, with the
    current values for the entries it reads and 0 for a miss; the miss
@@ -50,14 +52,12 @@ more than ``_TABLE_CAP`` arguments, or raises ``PrecisionError`` on one
 Its fix node then unrolls for the rest of the ladder, so a failed
 discovery is paid for once.
 
-*Ground fixpoints* are Kleene-iterated from 0 until the iterate moves
-less than ``tol``, or for ``fix_iters`` rounds.
-
 *Unrolling.*  Every other family (of higher type, a ``nat -> nat``
-one ``tabled`` rejects, as for ``f (f x)``, or a table that gave up) is
-applied at the evaluator's depth d: ``VFix(fam, d)`` applies the
-functional d times to bottom, with one memo per (depth, argument), and
-``semantics._ground`` climbs a ladder of depths.
+one ``tabled`` rejects, as for ``f (f x)``, a ground one whose
+functional is not a lambda, or a table that gave up) is applied at the
+evaluator's depth d: ``VFix(fam, d)`` applies the functional d times to
+bottom, with one memo per (depth, argument), and ``ground_denot`` climbs
+a ladder of depths.
 
 ``semantics`` loads this module on a program's first fix, so importing
 the package does not compile it.
@@ -101,9 +101,11 @@ _NAT_TO_NAT = Arrow(NAT, NAT)
 
 
 def tabled(fn: Term) -> bool:
-    """Is ``fix fn`` a table?  Its recursive variable must be annotated
-    nat -> nat, no call of it may take an argument computed from its own
-    values, and no function that calls it may be passed as a value.
+    """Is ``fix fn`` a table?  A ground fixpoint is one whenever fn is a
+    lambda: its one key, None, cannot drift.  Otherwise the recursive
+    variable must be annotated nat -> nat, no call of it may take an
+    argument computed from its own values, and no function that calls
+    it may be passed as a value.
 
     The check is syntactic and errs towards the ladder.  A name may
     carry the family's values if it is the recursive variable, or is
@@ -121,7 +123,7 @@ def tabled(fn: Term) -> bool:
       values move during a solve.
     """
     if type(fn) is not Lam or fn.ty != _NAT_TO_NAT:
-        return False
+        return type(fn) is Lam and fn.ty == NAT
     names: dict[int, frozenset] = {}
     types: dict[int, object] = {}     # None where not known
 
@@ -166,8 +168,7 @@ def tabled(fn: Term) -> bool:
 
 
 class Family:
-    """One evaluation of a fix node: its table, its ground iterate or its
-    unrolling caches.
+    """One evaluation of a fix node: its table or its unrolling caches.
 
     An evaluator makes one family per closed fix node and reuses it at
     every visit (see the ``semantics`` docstring); an open fix node gets
@@ -175,15 +176,14 @@ class Family:
     environment.
     """
 
-    __slots__ = ("functional", "node", "memo", "gcache", "ground_value",
-                 "refs", "table", "sess", "body")
+    __slots__ = ("functional", "node", "memo", "gcache", "refs", "table",
+                 "sess", "body")
 
     def __init__(self, functional, node):
         self.functional = functional
         self.node = node           # id of the fix node if a table, or None
         self.memo: dict = {}       # (depth, arg fingerprint) -> value
         self.gcache: dict = {}     # depth -> unrolled functional value
-        self.ground_value = None   # the Kleene iterate, once found
         self.refs: list = []       # pins identity-fingerprinted args
         # arg fingerprint -> solved value; None once the family unrolls
         self.table = None if node is None else {}
@@ -191,11 +191,13 @@ class Family:
         self.body = None           # the functional applied to the family
 
     def apply(self, ev, f: VFix, x):
-        """f, whose family this is, applied to x by evaluator ev."""
+        """f, whose family this is, applied to x by evaluator ev; with x
+        None, the observation of a ground fixpoint."""
         if self.table is None:
             return self.unroll(ev, f.depth, x)
-        x = ev.obs(x)
-        fp = x.fingerprint()
+        if x is not None:
+            x = ev.obs(x)
+        fp = None if x is None else x.fingerprint()
         hit = self.table.get(fp)
         if hit is not None:
             return hit
@@ -207,7 +209,7 @@ class Family:
         if depth <= 0:
             return VBot
         ev.unrolled = True
-        fp = x.fingerprint(self.refs)
+        fp = None if x is None else x.fingerprint(self.refs)
         hit = self.memo.get((depth, fp))
         if hit is not None:
             return hit
@@ -219,24 +221,8 @@ class Family:
             if g is None:
                 g = ev.apply(self.functional, VFix(self, k - 1))
                 self.gcache[k] = g
-            self.memo[key] = ev.apply(g, x)
+            self.memo[key] = ev.obs(g) if x is None else ev.apply(g, x)
         return self.memo[(depth, fp)]
-
-    def ground(self, ev) -> Dist:
-        """The observation of a ground fixpoint."""
-        if self.ground_value is not None:
-            return self.ground_value
-        u = ZERO
-        for _ in range(ev.cfg.fix_iters):
-            nxt = ev.obs(ev.apply(self.functional, u))
-            if nxt.sup_diff(u) < ev.cfg.tol:
-                u = nxt
-                break
-            u = nxt
-        else:
-            ev.unconverged = True
-        self.ground_value = u
-        return u
 
 
 class Session:
@@ -260,7 +246,7 @@ class Session:
         self.live = None           # entries a component may read
         self.failed = False        # give up the table for the ladder
 
-    def read(self, fp, x: Dist) -> Dist:
+    def read(self, fp, x: Dist | None) -> Dist:
         i = self.index.get(fp)
         if self.live is None:
             if i is None:
@@ -285,7 +271,7 @@ class Session:
         return self.vals[i]
 
 
-def solve(ev, f: VFix, fp, x: Dist):
+def solve(ev, f: VFix, fp, x: Dist | None):
     """The value of table f at argument x, whose fingerprint fp it does
     not hold yet; see the module docstring.  ``ev`` is the evaluator."""
     fam = f.fam
@@ -306,7 +292,8 @@ def solve(ev, f: VFix, fp, x: Dist):
     return fam.table[fp]
 
 
-def _discover_and_solve(ev, f: VFix, s: Session, fp, x: Dist) -> None:
+def _discover_and_solve(ev, f: VFix, s: Session, fp,
+                        x: Dist | None) -> None:
     fam = f.fam
     s.read(fp, x)
     while s.todo and not s.failed:
@@ -333,9 +320,13 @@ def _discover_and_solve(ev, f: VFix, s: Session, fp, x: Dist) -> None:
             fam.table[fps[i]] = val
 
 
-def _entry(ev, f: VFix, x: Dist) -> Dist:
-    """F at argument x, reading the table through f."""
+def _entry(ev, f: VFix, x: Dist | None) -> Dist:
+    """F at argument x, reading the table through f.  A ground entry
+    binds its variable to its current value, not to f: a memo keyed by
+    f's identity would keep reading the values f had then."""
     fam = f.fam
+    if x is None:
+        return ev.obs(ev.apply(fam.functional, fam.apply(ev, f, None)))
     if fam.body is None:
         fam.body = ev.apply(fam.functional, f)
     return ev.obs(ev.apply(fam.body, x))

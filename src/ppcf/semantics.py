@@ -20,25 +20,24 @@ Ground vectors are truncated at ``nmax`` with a lumped overflow bucket:
 succ shifts into it, ifz counts it as nonzero, and pred or let refuse
 to guess what is inside it (a precision error above ``tol``).
 
-Fixpoints are least fixpoints, reached in one of three ways.
+Fixpoints are least fixpoints, reached in one of two ways.
 
 * A fix whose recursive variable is annotated ``nat -> nat`` is a
   table: each ground argument the program calls it with, keyed by
-  ``Dist.fingerprint``, maps to the fixpoint's value there.  The table
-  is a monotone polynomial system u = F(u).  It is solved by Newton's
+  ``Dist.fingerprint``, maps to the fixpoint's value there.  A ground
+  fixpoint is a table with one entry, its observation.  The table is
+  a monotone polynomial system u = F(u).  It is solved by Newton's
   method from 0, one strongly connected component at a time, and the
   derivatives in every outside parameter come from the implicit-
   function theorem at the solution (see ``ppcf.fixpoints``).
-* A fixpoint of ground type is Kleene-iterated in place until its
-  observation moves less than ``tol`` in sup norm.
 * Every other fixpoint is unrolled to a finite depth: one of higher
   type, a ``nat -> nat`` one whose arguments are computed from its own
-  values as in ``f (f x)`` or which is passed as a value, and a table
-  that gives up (see ``ppcf.fixpoints``).  The depth climbs a
-  geometric ladder at the top-level observation: evaluate at depth d
-  and 2d and stop once the observation is stable.  A rung whose
-  unrolling overflows the Python stack ends the ladder, unconverged,
-  at the last rung that finished.
+  values as in ``f (f x)`` or which is passed as a value, a ground one
+  whose functional is not a lambda, and a table that gives up (see
+  ``ppcf.fixpoints``).  The depth climbs a geometric ladder at the
+  top-level observation: evaluate at depth d and 2d and stop once the
+  observation is stable.  A rung whose unrolling overflows the Python
+  stack ends the ladder, unconverged, at the last rung that finished.
 
 An expected count is reported as divergent when a table it flows
 through has an I - J that is singular within ``fixpoints.PIVOT_MARGIN``,
@@ -46,10 +45,10 @@ or when it exceeds ``DIVERGENCE_THRESHOLD``.
 
 A closed fix node (one without free variables) is evaluated once per
 evaluator: every later visit reuses the same fixpoint family, with its
-table, unrolled functionals, argument memo and ground iterate.  This is
-sound because a closed term denotes the same value in every environment
-and an evaluator's unrolling depth is fixed, so a fresh family would
-recompute exactly what the shared one holds.  Without the sharing, a
+table, unrolled functionals and argument memo.  This is sound because a
+closed term denotes the same value in every environment and an
+evaluator's unrolling depth is fixed, so a fresh family would recompute
+exactly what the shared one holds.  Without the sharing, a
 closed recursive helper called from inside another recursion is solved
 again on every outer call.
 """
@@ -251,19 +250,19 @@ class SemConfig:
 
     ``nmax`` is the largest numeral a vector holds exactly; the rest
     goes to the overflow bucket.  ``tol`` is the sup-norm change at which
-    an iteration, and the ladder, count as converged.  ``fix_iters``
+    a Newton solve, and the ladder, count as converged.  ``fix_iters``
     bounds each fixpoint on its own: the Newton steps of a table
-    component, the Kleene iterations of a ground fixpoint and the
-    deepest rung of the unrolling ladder.  A fixpoint that needs more is
-    reported as not converged.  The bound past which an expected count
-    diverges is not a setting but ``DIVERGENCE_THRESHOLD``.
+    component and the deepest rung of the unrolling ladder.  A fixpoint
+    that needs more is reported as not converged.  The bound past which
+    an expected count diverges is not a setting but
+    ``DIVERGENCE_THRESHOLD``.
     """
     nmax: int = 64
     fix_iters: int = 10_000
     tol: float = 1e-9
 
     def __post_init__(self):
-        # a tolerance of 0 or below never stops a Kleene iteration, and
+        # a tolerance of 0 or below never stops a Newton solve, and
         # a numeral range below 1 silently moves all mass into overflow
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise PpcfError(f"tol must be finite and > 0, got {self.tol}")
@@ -285,7 +284,7 @@ UNDEFINED = "UNDEFINED"
 @dataclass(frozen=True)
 class GroundResult:
     dist: Dist
-    converged: bool           # every table, Kleene iteration and rung hit tol
+    converged: bool           # every table and rung hit tol
     depth: int                # last ladder depth; the first rung if none ran
     # partials whose implicit derivative met a singular I - J
     diverging: frozenset = frozenset()
@@ -514,7 +513,7 @@ class _Eval:
         if v is VBot:
             return ZERO
         if type(v) is VFix:
-            return v.fam.ground(self)
+            return self.obs(v.fam.apply(self, v, None))
         if type(v) is VSum:
             # combinations stay lazy until observed; parts of a
             # ground-typed sum are ground themselves
@@ -601,8 +600,8 @@ def expected_count(t: Term, label: str,
     at rate 1 every gate multiplies by exactly 1.0; dividing by it
     conditions on convergence.  A derivative that passes through a
     singular I - J (see ``fixpoints.PIVOT_MARGIN``), or is not within
-    ``DIVERGENCE_THRESHOLD``, is reported as DIVERGES.  A cut budget is not divergence: it gives the estimate,
-    unconverged.
+    ``DIVERGENCE_THRESHOLD``, is reported as DIVERGES.  A cut budget is
+    not divergence: it gives the estimate, unconverged.
     """
     res = ground_denot(t, cfg, seed_labels={label})
     raw = sparts(res.dist.mass0()).get(label, 0.0)

@@ -164,7 +164,7 @@ def test_parse_and_type_errors_exit_2(capsys, tmp_path):
 ])
 def test_bad_settings_exit_2(programs, argv):
     # in a fresh process with a timeout: a tolerance of 0 used to make
-    # the Kleene iteration run forever
+    # a ground fixpoint's iteration run forever
     if argv[0] != "check":
         argv = [argv[0], programs(argv[1]), *argv[2:]]
     r = subprocess.run([sys.executable, "-m", "ppcf.cli", "--quiet", *argv],
@@ -238,6 +238,19 @@ def test_unreadable_input_exits_2(capsys, tmp_path, programs, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("src", [
+    r"fix (\x:nat. ifz dice(1/2) then 0 else ifz mark[t] x then x else 1)",
+    r"(fix (\f:nat->nat. \n:nat. ifz dice(1/2) then 0 "
+    r"else ifz mark[t] (f n) then f n else 1)) 0",
+], ids=["ground", "table"])
+def test_expect_at_a_critical_fixpoint_diverges(capsys, programs, src):
+    # the same critical system as a ground fixpoint and as a table:
+    # u = 1/2 + u^2/2 has a double root at 1, so the count is infinite
+    assert main(["--quiet", "expect", programs("crit", src),
+                 "--label", "t"]) == 0
+    assert capsys.readouterr().out == '{"dual": "DIVERGES", "label": "t"}\n'
 
 
 def test_denot_ground(capsys, programs):

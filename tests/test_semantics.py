@@ -1,9 +1,10 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from ppcf import corpus
+from ppcf import corpus, progen
 from ppcf.fixpoints import tabled
 from ppcf.machine import enumerate_paths, init_state
 from ppcf.progen import gen_corpus
@@ -13,8 +14,8 @@ from ppcf.semantics import (
     sparts, sval,
 )
 from ppcf.syntax import (
-    App, Fix, Mark, PpcfError, labels_of, make_mq, num, parse_term,
-    subterms, to_text,
+    NAT, App, Fix, Lam, Mark, PpcfError, labels_of, make_mq, num,
+    parse_term, subterms, to_text,
 )
 from ppcf.translate import strip
 
@@ -109,19 +110,93 @@ def test_adequacy_against_enumeration_exact():
             float(res.converged_mass), abs=1e-9)
 
 
+def ground_fix(q, marked=False):
+    """G(q): a ground fixpoint whose mass at 0 is the least solution of
+    u = q + (1 - q) u^2, min(1, q/(1-q)), critical at q = 1/2."""
+    scrut = "mark[t] x" if marked else "x"
+    return parse_term(rf"fix (\x:nat. ifz dice({q}) then 0 "
+                      rf"else ifz {scrut} then x else 1)")
+
+
 def test_newton_iterates_monotone():
     # fix_iters cuts the table's Newton steps, so the k-th budget gives
-    # the k-th iterate: each is >= the last and <= the fixpoint
-    t = App(make_mq(Fraction(3, 4)), num(0))
+    # the k-th iterate: each is >= the last and <= the fixpoint; a
+    # ground fixpoint is a table with one entry
+    for t in [App(make_mq(Fraction(3, 4)), num(0)), ground_fix("2/5")]:
+        gr = ground_denot(t, CFG)
+        assert gr.converged
+        top = sval(gr.dist.mass0())
+        masses = [prob_zero(t, SemConfig(tol=1e-12, fix_iters=k))
+                  for k in range(1, 8)]
+        assert masses[0] < masses[-1]
+        assert all(a <= b for a, b in zip(masses, masses[1:]))
+        assert all(m <= top for m in masses)
+        assert not ground_denot(t, SemConfig(fix_iters=3)).converged
+    # the loop ends on G(2/5)
+    assert masses[:2] == pytest.approx([0.4, 0.585], abs=1e-3)
+    assert top == pytest.approx(2 / 3, abs=1e-12)
+
+
+@pytest.mark.parametrize("q", ["1/10", "1/4", "2/5", "3/4"])
+def test_ground_fixpoint_least_solution(q):
+    gr = ground_denot(ground_fix(q), CFG)
+    assert gr.converged and gr.depth == 8
+    r = float(Fraction(q))
+    assert abs(sval(gr.dist.mass0()) - min(1.0, r / (1 - r))) < 1e-12
+
+
+def test_critical_ground_fixpoint_is_unconverged():
+    assert not ground_denot(ground_fix("1/2"), CFG).converged
+
+
+def test_ground_fixpoint_geometric_coordinates_are_exact():
+    # coordinate n is 2^-(n+1) for n <= nmax, and the rest, 2^-65, is
+    # the overflow: each Newton step is exact in binary
+    gr = ground_denot(parse_term(r"fix (\x:nat. ifz dice(1/2) then 0 "
+                                 r"else succ x)"), CFG)
+    assert gr.converged
+    assert gr.dist.coords == {n: 2.0 ** -(n + 1) for n in range(65)}
+    assert gr.dist.overflow == 2.0 ** -65
+
+
+def test_ground_fixpoint_entry_reads_its_value_not_its_family():
+    # g feeds itself its own values, so it unrolls with a memo keyed by
+    # its argument; a ground entry that bound x to its own VFix would
+    # key that memo by identity, which stays put while the entry's
+    # value moves, and read mass 1/2
+    t = parse_term(r"fix (\x:nat. ifz dice(1/2) then 0 else "
+                   r"(fix (\g:nat->nat. \n:nat. ifz n then 0 "
+                   r"else g (g (pred n)))) x)")
     gr = ground_denot(t, CFG)
     assert gr.converged
-    top = sval(gr.dist.mass0())
-    masses = [prob_zero(t, SemConfig(tol=1e-12, fix_iters=k))
-              for k in range(1, 8)]
-    assert masses[0] < masses[-1]
-    assert all(a <= b for a, b in zip(masses, masses[1:]))
-    assert all(m <= top for m in masses)
-    assert not ground_denot(t, SemConfig(fix_iters=3)).converged
+    assert sval(gr.dist.mass0()) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_generated_ground_fixpoints_within_enumeration():
+    # the cross-view sandwich: converged mass <= denotation <= converged
+    # plus open mass, on generated bodies of a ground fix
+    for i in range(60):
+        body = progen._Gen(random.Random(7000 + i), False).term(["x"], 3)
+        t = Fix(Lam("x", NAT, body))
+        gr = ground_denot(t, CFG)
+        assert gr.converged, to_text(t)
+        res = enumerate_paths(init_state(t), max_steps=2000,
+                              max_choices=12)
+        lo = float(res.converged_mass)
+        assert lo - 1e-9 <= sval(gr.dist.mass0()) \
+            <= lo + float(res.open_mass) + 1e-9, to_text(t)
+
+
+def test_higher_order_pred_continuation_converges():
+    # each round wraps k in one more succ before the final pred; the
+    # ladder once raised PrecisionError at rung 128 on the overflow
+    # left by the negligible branches
+    t = parse_term(r"(fix (\F:(nat->nat)->nat->nat. \k:nat->nat. \x:nat. "
+                   r"ifz dice(1/2) then k x else F (\y:nat. k (succ y)) x)) "
+                   r"(\z:nat. pred z) 0")
+    gr = ground_denot(t)
+    assert gr.converged and gr.depth == 64
+    assert sval(gr.dist.mass0()) == pytest.approx(0.75, abs=1e-9)
 
 
 def test_value_dependent_arguments_fall_back_to_the_ladder():
@@ -313,6 +388,15 @@ def test_expected_count_statuses():
         == pytest.approx(2.0, abs=1e-9)
     assert expected_count(mk(Fraction(1, 2)), "t").status == DIVERGES
     assert expected_count(mk(Fraction(1)), "t", CFG).status == UNDEFINED
+    # a ground fixpoint: u = 2/5 + 3/5 u^2 gives p_conv 2/3, and the
+    # marked scrutinee runs once per round, 2 rounds given convergence
+    g = expected_count(ground_fix("2/5", marked=True), "t", CFG)
+    assert g.status == OK and g.converged
+    assert g.raw == pytest.approx(4 / 3, abs=1e-9)
+    assert g.conditional == pytest.approx(2.0, abs=1e-9)
+    assert g.p_conv == pytest.approx(2 / 3, abs=1e-12)
+    assert expected_count(ground_fix("1/2", marked=True), "t").status \
+        == DIVERGES
 
 
 def test_finite_difference_agreement():
@@ -320,6 +404,8 @@ def test_finite_difference_agreement():
     chk = finite_difference_check(t, "t", 1e-3, CFG)
     assert chk.abs_err < 1e-4
     assert chk.dual == pytest.approx(chk.central, abs=1e-4)
+    assert finite_difference_check(ground_fix("2/5", marked=True), "t",
+                                   1e-3, CFG).abs_err < 1e-3
     with pytest.raises(PpcfError):
         finite_difference_check(t, "t", 0.7, CFG)
 
