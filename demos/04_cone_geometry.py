@@ -53,7 +53,8 @@ t = PowerSeries(web, ("*",), {
     ((1, 1), "*"): 0.25,
 })
 val = series_apply(t, x)[0]
-print(f"\nt(x) = {val:.4f}   total coefficient mass = {t.total_mass():.2f}")
+mass = sum(t.coeffs.values())
+print(f"\nt(x) = {val:.4f}   total coefficient mass = {mass:.2f}")
 
 # Its derivative matrix at x is the Jacobian, here a single gradient
 # column: dt/dx0 = x1/2, dt/dx1 = x0/2 + x1/2, dt/dx2 = 0.

@@ -1,15 +1,15 @@
 """How the evaluator solves fix nodes: one ``Family`` per evaluation of
 a fix node, which is a table or an unrolling.
 
-*Tables.*  A fix of a lambda whose variable is annotated ``nat``, or
-``nat -> nat`` with no call taking an argument computed from its own
-values and no function that calls it passed as a value, is a table
-(``tabled``): each ground argument the program calls it with, keyed by
-``Dist.fingerprint``, maps to the fixpoint's value there, and a ground
-fixpoint has the one key None.  The table is a monotone polynomial
-system u = F(u), where F evaluates the functional at an argument with
-the table standing for the recursive variable (at None, with the
-entry's current value standing for it).  A call with a new argument
+*Tables.*  Tables are chosen by type.  A fix whose recursive variable
+is annotated ``nat -> nat`` is a table: each ground argument the program
+calls it with, keyed by ``Dist.fingerprint``, maps to the fixpoint's
+value there.  A fix that is observed is ground, whatever its functional,
+and is a table with the one key None.  In the PCS model a ``nat -> nat``
+map is a power series, so the table is a monotone polynomial system
+u = F(u), where F evaluates the functional at an argument with the
+table standing for the recursive variable (at None, with the entry's
+current value standing for it).  A call with a new argument
 starts a solve, in three stages.
 
 1. Discovery.  A worklist evaluates F at each new argument, with the
@@ -31,10 +31,11 @@ starts a solve, in three stages.
    monotone system stays below the least fixpoint and above the Kleene
    step F(u) (Etessami and Yannakakis, JACM 2009; Esparza, Kiefer and
    Luttenberger, JACM 2010).  So the step taken is the larger of the two
-   in each coordinate, never negative; when I - J has a pivot <= 0 it is
-   the Kleene step alone.  Residuals at rounding level count as 0
-   (``_ROUNDING``).  Solving stops when the step is below ``tol``, or
-   after ``fix_iters`` steps with the evaluation marked unconverged.
+   in each coordinate, never negative.  Below the least fixpoint I - J
+   is a nonsingular M-matrix, so its pivots are positive.  Residuals at
+   rounding level count as 0 (``_ROUNDING``).  Solving stops when the
+   step is below ``tol``, or after ``fix_iters`` steps with the
+   evaluation marked unconverged.
 
 At the solution every outside partial is the implicit-function
 derivative du/dk = (I - J)^-1 dF/dk, from one more elimination.  These
@@ -46,18 +47,23 @@ unconverged, and each outside key the component depends on is marked
 diverging.  So is every key of a component whose own seeds were marked
 by a table it calls.
 
-A table that meets an argument or an edge discovery did not see, finds
-more than ``_TABLE_CAP`` arguments, or raises ``PrecisionError`` on one
-(discovery follows arguments however unlikely) gives up and unrolls.
-Its fix node then unrolls for the rest of the ladder, so a failed
-discovery is paid for once.
+A solve gives up on what actually drifts or does not fit a finite
+system: an argument or an edge discovery did not see (the arguments
+move with the values being solved, as in ``f (f x)``), a value outside
+the support discovery found (as when its values underflowed to 0),
+more than ``_TABLE_CAP`` arguments, a recursive component of more than
+``_COMPONENT_CAP`` coordinates, or a ``PrecisionError`` on an argument
+(discovery follows arguments however unlikely).  The table then
+unrolls, and its fix node unrolls for the rest of the ladder, so a
+failed discovery is paid for once.
 
-*Unrolling.*  Every other family (of higher type, a ``nat -> nat``
-one ``tabled`` rejects, as for ``f (f x)``, a ground one whose
-functional is not a lambda, or a table that gave up) is applied at the
-evaluator's depth d: ``VFix(fam, d)`` applies the functional d times to
-bottom, with one memo per (depth, argument), and ``ground_denot`` climbs
-a ladder of depths.
+*Unrolling.*  Every other family (of higher type, or a table that gave
+up) is applied at the evaluator's depth d: ``VFix(fam, d)`` applies the
+functional d times to bottom, with one memo per (depth, argument), and
+``ground_denot`` climbs a ladder of depths.  An argument keyed by its
+identity (a closure, or a table passed as a value) keys its memo entry
+only within one table entry evaluation, counted by ``_Eval.entries``:
+a table under solve keeps its identity while its values move.
 
 ``semantics`` loads this module on a program's first fix, so importing
 the package does not compile it.
@@ -72,10 +78,7 @@ from .semantics import (
     VBot, VFix, ZERO, Dist, Dual, PrecisionError, Scalar, _szero, sparts,
     sval,
 )
-from .syntax import (
-    NAT, App, Arrow, Fix, Lam, Let, PpcfTypeError, Term, Var, _type_step,
-    fold, subterms,
-)
+from .syntax import NAT, Arrow, Fix, Lam
 
 # I - J counts as singular when a pivot of its elimination falls below
 # this.  At a critical fixpoint the smallest pivot shrinks with the
@@ -97,74 +100,14 @@ _ROUNDING = 16 * sys.float_info.epsilon
 # over the numerals, say) have no finite table.
 _TABLE_CAP = 4096
 
+# A recursive component with more coordinates than this falls back too:
+# its elimination is dense and cubic, 0.04 s at 128 coordinates and
+# 0.3 s at 256 on a 2-vCPU host, and Newton runs one per step.  The
+# table cap cannot serve: a table of thousands of entries, each its own
+# component, is solved in linear time.
+_COMPONENT_CAP = 128
+
 _NAT_TO_NAT = Arrow(NAT, NAT)
-
-
-def tabled(fn: Term) -> bool:
-    """Is ``fix fn`` a table?  A ground fixpoint is one whenever fn is a
-    lambda: its one key, None, cannot drift.  Otherwise the recursive
-    variable must be annotated nat -> nat, no call of it may take an
-    argument computed from its own values, and no function that calls
-    it may be passed as a value.
-
-    The check is syntactic and errs towards the ladder.  A name may
-    carry the family's values if it is the recursive variable, or is
-    bound by a let, a fix or a beta redex to a term that mentions such
-    a name.  Two kinds of call rule a table out.
-
-    * A call whose function and argument both mention such names: it
-      may feed the family its own values.
-    * A call whose argument mentions such a name and is not known to be
-      of type nat (its type may rest on a variable bound outside fn).
-      The argument may then be the recursive variable or a function
-      that calls it, handed to code out of sight that can call it at
-      its own values, or that memoises by argument identity as
-      ``Family.unroll`` does: a table keeps its identity while its
-      values move during a solve.
-    """
-    if type(fn) is not Lam or fn.ty != _NAT_TO_NAT:
-        return type(fn) is Lam and fn.ty == NAT
-    names: dict[int, frozenset] = {}
-    types: dict[int, object] = {}     # None where not known
-
-    def post(s, kids, scope):
-        out = frozenset((s.name,)) if type(s) is Var \
-            else frozenset().union(*(k[0] for k in kids))
-        tys = [k[1] for k in kids]
-        ty = None
-        if None not in tys:
-            try:
-                ty = _type_step(s, tys, scope)
-            except PpcfTypeError:
-                pass
-        names[id(s)] = out
-        types[id(s)] = ty
-        return out, ty
-
-    fold(fn, post)
-    nodes = list(subterms(fn.body))
-    moved = {fn.name}
-    grew = True
-    while grew:
-        grew = False
-        for s in nodes:
-            cls = type(s)
-            if cls is Let:
-                name, src = s.name, s.bound
-            elif cls is Fix and type(s.arg) is Lam:
-                name, src = s.arg.name, s.arg.body
-            elif cls is App and type(s.fun) is Lam:
-                name, src = s.fun.name, s.arg
-            else:
-                continue
-            if name not in moved and not moved.isdisjoint(names[id(src)]):
-                moved.add(name)
-                grew = True
-    return not any(type(s) is App
-                   and not moved.isdisjoint(names[id(s.arg)])
-                   and (types[id(s.arg)] != NAT
-                        or not moved.isdisjoint(names[id(s.fun)]))
-                   for s in nodes)
 
 
 class Family:
@@ -176,24 +119,27 @@ class Family:
     environment.
     """
 
-    __slots__ = ("functional", "node", "memo", "gcache", "refs", "table",
-                 "sess", "body")
+    __slots__ = ("functional", "node", "keyed", "memo", "gcache", "refs",
+                 "table", "sess", "body")
 
-    def __init__(self, functional, node):
+    def __init__(self, functional, node: Fix, table: bool):
         self.functional = functional
-        self.node = node           # id of the fix node if a table, or None
+        self.node = id(node)       # recorded in ev.untabled on give-up
+        # a table over ground arguments; a fix of any other type is a
+        # table only when observed, which makes it ground
+        self.keyed = type(node.arg) is Lam and node.arg.ty == _NAT_TO_NAT
         self.memo: dict = {}       # (depth, arg fingerprint) -> value
         self.gcache: dict = {}     # depth -> unrolled functional value
         self.refs: list = []       # pins identity-fingerprinted args
         # arg fingerprint -> solved value; None once the family unrolls
-        self.table = None if node is None else {}
+        self.table = {} if table else None
         self.sess = None           # the Session under way
         self.body = None           # the functional applied to the family
 
     def apply(self, ev, f: VFix, x):
         """f, whose family this is, applied to x by evaluator ev; with x
         None, the observation of a ground fixpoint."""
-        if self.table is None:
+        if self.table is None or (x is not None and not self.keyed):
             return self.unroll(ev, f.depth, x)
         if x is not None:
             x = ev.obs(x)
@@ -209,7 +155,12 @@ class Family:
         if depth <= 0:
             return VBot
         ev.unrolled = True
+        pinned = len(self.refs)
         fp = None if x is None else x.fingerprint(self.refs)
+        if len(self.refs) > pinned:
+            # an identity key may stand for a table under solve, whose
+            # values move between its entry evaluations
+            fp = (ev.entries, fp)
         hit = self.memo.get((depth, fp))
         if hit is not None:
             return hit
@@ -321,10 +272,10 @@ def _discover_and_solve(ev, f: VFix, s: Session, fp,
 
 
 def _entry(ev, f: VFix, x: Dist | None) -> Dist:
-    """F at argument x, reading the table through f.  A ground entry
-    binds its variable to its current value, not to f: a memo keyed by
-    f's identity would keep reading the values f had then."""
+    """F at argument x, reading the table through f; a ground entry
+    binds its variable to its current value."""
     fam = f.fam
+    ev.entries += 1
     if x is None:
         return ev.obs(ev.apply(fam.functional, fam.apply(ev, f, None)))
     if fam.body is None:
@@ -341,6 +292,9 @@ def _newton(ev, f: VFix, s: Session, comp: list) -> dict:
         for n in sorted(s.supp[i]):
             pos[(i, n)] = len(pos)
     m = len(pos)
+    if m > _COMPONENT_CAP:
+        s.failed = True
+        return {}
     # private to this solve; '#' cannot occur in a label
     tag = f"#{next(ev.solves)}."
     names = [f"{tag}{j}" for j in range(m)]
@@ -376,10 +330,8 @@ def _newton(ev, f: VFix, s: Session, comp: list) -> dict:
         kleene = [r if r > _ROUNDING * abs(y) else 0.0
                   for r, y in ((y - x, y) for x, y in zip(u, fu))]
         newton = list(kleene)
-        if _eliminate(_i_minus(jac), [newton]) > 0.0:
-            step = [max(a, b) for a, b in zip(newton, kleene)]
-        else:
-            step = kleene
+        _eliminate(_i_minus(jac), [newton])
+        step = [max(a, b) for a, b in zip(newton, kleene)]
         if max(step, default=0.0) < cfg.tol:
             u = [a + b for a, b in zip(u, step)]
             break
@@ -391,8 +343,6 @@ def _newton(ev, f: VFix, s: Session, comp: list) -> dict:
     # implicit-function derivatives at the last evaluation
     sol = {k: list(col) for k, col in outer.items()}
     least = _eliminate(_i_minus(jac), list(sol.values()))
-    if least <= 0.0:
-        sol = outer
     if least < PIVOT_MARGIN:
         ev.unconverged = True
     if least < PIVOT_MARGIN or not ev.diverging.isdisjoint(names):
@@ -479,16 +429,15 @@ def _i_minus(jac: list) -> list:
 
 def _eliminate(a: list, rhss: list) -> float:
     """Solve a x = b in place for every b in rhss, by elimination
-    without row exchanges, and return the smallest pivot.  Below
-    criticality I - J is a nonsingular M-matrix, whose pivots are all
-    positive; the solutions are valid only when the result is > 0."""
+    without row exchanges, and return the smallest pivot.  I - J is a
+    nonsingular M-matrix below the least fixpoint, whose pivots are all
+    positive; at a critical fixpoint the residual floor stops Newton
+    while the smallest is still near sqrt(eps) (see ``PIVOT_MARGIN``)."""
     m = len(a)
     least = math.inf
     for c in range(m):
         p = a[c][c]
         least = min(least, p)
-        if p <= 0.0:
-            return least
         top = a[c]
         for r in range(c + 1, m):
             f = a[r][c] / p

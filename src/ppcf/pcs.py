@@ -254,9 +254,6 @@ class PowerSeries:
             if c < 0:
                 raise ValueError("coefficients must be nonnegative")
 
-    def total_mass(self) -> float:
-        return float(sum(self.coeffs.values()))
-
 
 def monomial(x, mu: tuple, ix: Optional[dict] = None):
     """x^mu; x is indexed by web position, mu lists symbols."""

@@ -22,18 +22,18 @@ to guess what is inside it (a precision error above ``tol``).
 
 Fixpoints are least fixpoints, reached in one of two ways.
 
-* A fix whose recursive variable is annotated ``nat -> nat`` is a
-  table: each ground argument the program calls it with, keyed by
-  ``Dist.fingerprint``, maps to the fixpoint's value there.  A ground
-  fixpoint is a table with one entry, its observation.  The table is
-  a monotone polynomial system u = F(u).  It is solved by Newton's
-  method from 0, one strongly connected component at a time, and the
-  derivatives in every outside parameter come from the implicit-
-  function theorem at the solution (see ``ppcf.fixpoints``).
+* Tables are chosen by type.  A fix whose recursive variable is
+  annotated ``nat -> nat`` is a table: each ground argument the program
+  calls it with, keyed by ``Dist.fingerprint``, maps to the fixpoint's
+  value there.  A ground fixpoint, whatever its functional, is a table
+  with one entry, its observation.  The table is a monotone polynomial
+  system u = F(u).  It is solved by Newton's method from 0, one strongly
+  connected component at a time, and the derivatives in every outside
+  parameter come from the implicit-function theorem at the solution
+  (see ``ppcf.fixpoints``).
 * Every other fixpoint is unrolled to a finite depth: one of higher
-  type, a ``nat -> nat`` one whose arguments are computed from its own
-  values as in ``f (f x)`` or which is passed as a value, a ground one
-  whose functional is not a lambda, and a table that gives up (see
+  type, and a table whose solve gives up, as when its arguments drift
+  with its values (``f (f x)``) or it grows past a cap (see
   ``ppcf.fixpoints``).  The depth climbs a geometric ladder at the
   top-level observation: evaluate at depth d and 2d and stop once the
   observation is stable.  A rung whose unrolling overflows the Python
@@ -403,9 +403,12 @@ class _Eval:
         self.unconverged = False
         self.diverging: set = set()  # see GroundResult
         self.solves = itertools.count()  # names the private partials
-        # id(Fix node) -> [node, closed?, tabled?, shared VFix or None];
-        # holding the node keeps its id from being reused
+        # id(Fix node) -> [node, closed?, shared VFix or None]; holding
+        # the node keeps its id from being reused
         self.fixes: dict[int, list] = {}
+        # table entry evaluations so far: scopes the identity-keyed
+        # memos of unrolled families (see ``fixpoints.Family.unroll``)
+        self.entries = 0
         # ids of fix nodes whose table gave up: they unroll from then on,
         # at this depth and (the set is shared along a ladder) the next
         self.untabled: set = set() if untabled is None else untabled
@@ -475,16 +478,14 @@ class _Eval:
         from . import fixpoints
         site = self.fixes.get(id(t))
         if site is None:
-            site = [t, not free_vars(t), fixpoints.tabled(t.arg), None]
-            self.fixes[id(t)] = site
-        if site[3] is not None:
-            return site[3]
-        table = site[2] and id(t) not in self.untabled
-        v = VFix(fixpoints.Family(self.eval(t.arg, env),
-                                  id(t) if table else None),
+            site = self.fixes[id(t)] = [t, not free_vars(t), None]
+        if site[2] is not None:
+            return site[2]
+        v = VFix(fixpoints.Family(self.eval(t.arg, env), t,
+                                  id(t) not in self.untabled),
                  self.depth)
         if site[1]:
-            site[3] = v
+            site[2] = v
         return v
 
     # -- application -------------------------------------------------------

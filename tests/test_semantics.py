@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ppcf import corpus, progen
-from ppcf.fixpoints import tabled
+from ppcf import corpus, fixpoints, progen
 from ppcf.machine import enumerate_paths, init_state
 from ppcf.progen import gen_corpus
 from ppcf.semantics import (
@@ -15,7 +14,7 @@ from ppcf.semantics import (
 )
 from ppcf.syntax import (
     NAT, App, Fix, Lam, Mark, PpcfError, labels_of, make_mq, num,
-    parse_term, subterms, to_text,
+    parse_term, to_text,
 )
 from ppcf.translate import strip
 
@@ -160,16 +159,24 @@ def test_ground_fixpoint_geometric_coordinates_are_exact():
 
 
 def test_ground_fixpoint_entry_reads_its_value_not_its_family():
-    # g feeds itself its own values, so it unrolls with a memo keyed by
-    # its argument; a ground entry that bound x to its own VFix would
-    # key that memo by identity, which stays put while the entry's
-    # value moves, and read mass 1/2
+    # g feeds itself its own values and is called at the ground entry's
+    # current value, which moves with each Newton step of the entry
     t = parse_term(r"fix (\x:nat. ifz dice(1/2) then 0 else "
                    r"(fix (\g:nat->nat. \n:nat. ifz n then 0 "
                    r"else g (g (pred n)))) x)")
     gr = ground_denot(t, CFG)
     assert gr.converged
     assert sval(gr.dist.mass0()) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_ground_fixpoint_of_a_non_lambda_functional_is_a_table():
+    # observing the fix makes it ground, whatever its functional's
+    # syntax: G(2/5), 2/3, from the one-entry table without unrolling
+    t = parse_term(r"fix ((\g:nat->nat. g) (\x:nat. ifz dice(2/5) then 0 "
+                   r"else ifz x then x else 1))")
+    gr = ground_denot(t, CFG)
+    assert gr.converged and gr.depth == 8
+    assert sval(gr.dist.mass0()) == pytest.approx(2 / 3, abs=1e-12)
 
 
 def test_generated_ground_fixpoints_within_enumeration():
@@ -199,18 +206,37 @@ def test_higher_order_pred_continuation_converges():
     assert sval(gr.dist.mass0()) == pytest.approx(0.75, abs=1e-9)
 
 
-def test_value_dependent_arguments_fall_back_to_the_ladder():
-    # f (f x) calls the table at its own values, so keys keep appearing
-    # as they move; the family unrolls instead, and finds the answer 1.
-    # A beta or let binding carries the values to the outer call too.
-    for call in ["f (f x)", r"(\y:nat. f y) (f x)", "let y = f x in f y"]:
-        t = parse_term(r"(fix (\f:nat->nat. \x:nat. "
-                       f"ifz dice(3/5) then 0 else {call})) 1")
-        assert not tabled(t.fun.arg), call
-        gr = ground_denot(t, CFG)
-        assert gr.converged and gr.depth > 8, call
-        assert gr.dist.coords.keys() == {0}, call
-        assert sval(gr.dist.mass0()) == pytest.approx(1.0, abs=CFG.tol)
+@pytest.mark.parametrize("call, depth", [
+    # the arguments move with the values being solved, so Newton meets
+    # keys discovery did not see and the family unrolls
+    ("f (f x)", 64),
+    (r"(\y:nat. f y) (f x)", 64),
+    # let splits f x into numerals, which are keys that stay put
+    ("let y = f x in f y", 8),
+])
+def test_value_dependent_arguments_reach_the_least_fixpoint(call, depth):
+    t = parse_term(r"(fix (\f:nat->nat. \x:nat. "
+                   f"ifz dice(3/5) then 0 else {call})) 1")
+    gr = ground_denot(t, CFG)
+    assert gr.converged and gr.depth == depth
+    assert gr.dist.coords.keys() == {0}
+    assert sval(gr.dist.mass0()) == pytest.approx(1.0, abs=CFG.tol)
+
+
+def test_component_past_the_cap_unrolls():
+    # the let-bound self call makes one component of 1120 coordinates,
+    # too many for a dense elimination, so the family unrolls; its
+    # coordinates match those of the exact table to 1e-6
+    t = parse_term(r"(fix (\f:nat->nat. \x:nat. ifz x then 2 else "
+                   r"ifz dice(2/5) then let y = f x in f y else "
+                   r"ifz dice(1/4) then x else succ (f (pred x)))) 3")
+    gr = ground_denot(t)
+    assert gr.converged and gr.depth == 128
+    got = {n: sval(c) for n, c in gr.dist.coords.items()}
+    assert all(n % 2 == 1 for n in got)
+    for n, p in {3: 0.2959102, 5: 0.1942288, 7: 0.0397437,
+                 9: 0.0111652}.items():
+        assert got[n] == pytest.approx(p, abs=1e-6), n
 
 
 @pytest.mark.parametrize("src, want", [
@@ -250,28 +276,39 @@ def test_nonlinear_component_within_enumeration_and_differences():
     assert chk.abs_err <= 1e-10, chk
 
 
-@pytest.mark.parametrize("src, want", [
+@pytest.mark.parametrize("src, want, depth", [
     # f handed to a closed higher-type fix, which memoises by argument
-    # identity: a table keeps its identity while its values move
+    # identity: a table keeps its identity while its values move, so
+    # such a memo entry lasts one entry evaluation
     (r"(fix (\f:nat->nat. \x:nat. ifz dice(1/2) then 0 else "
      r"(fix (\h:(nat->nat)->nat. \k:nat->nat. "
-     r"ifz dice(1/2) then k 0 else h k)) f)) 1", {0: 1.0}),
+     r"ifz dice(1/2) then k 0 else h k)) f)) 1", {0: 1.0}, 64),
     # a function that calls f handed to a helper bound outside the fix,
     # which calls it at its own values: f (f 0)
     (r"(\app:(nat->nat)->nat. (fix (\f:nat->nat. \x:nat. "
      r"ifz dice(1/2) then x else app (\y:nat. f y))) 3) "
-     r"(\k:nat->nat. k (k 0))", {0: 0.5, 3: 0.5}),
+     r"(\k:nat->nat. k (k 0))", {0: 0.5, 3: 0.5}, 256),
+    # a closure over f handed to a closed higher-type fix, next to
+    # self-fed and let-bound calls; the ladder alone stops unconverged
+    # at depth 256
+    (r"(fix (\f:nat->nat. \x:nat. ifz x then 2 else ifz dice(3/4) then "
+     r"ifz dice(3/5) then (fix (\h:(nat->nat)->nat->nat. \k:nat->nat. "
+     r"\z:nat. ifz dice(1/2) then k z else h k z)) (\y:nat. f y) x "
+     r"else ifz f x then 0 else f (ifz x then 1 else 0) "
+     r"else ifz dice(3/5) then dice(1/3) else let y = f x in f y)) 3",
+     {0: 0.2807764064, 1: 0.2091710457, 2: 0.5100525479}, 64),
 ])
-def test_recursive_variable_passed_as_value_is_not_a_table(src, want):
+def test_recursive_variable_passed_as_value(src, want, depth):
     t = parse_term(src)
-    fixes = [s for s in subterms(t) if type(s) is Fix]
-    assert fixes and not any(tabled(s.arg) for s in fixes)
-    gr = ground_denot(t, CFG)
-    assert gr.converged and gr.depth > 8
+    gr = ground_denot(t)
+    assert gr.converged and gr.depth == depth
     got = {n: sval(c) for n, c in gr.dist.coords.items()}
     assert got.keys() == want.keys()
     for n, p in want.items():
         assert got[n] == pytest.approx(p, abs=1e-9), n
+    res = enumerate_paths(init_state(t), max_choices=16)
+    assert float(res.converged_mass) <= got[0] \
+        <= float(res.converged_mass + res.open_mass)
 
 
 def test_table_discovery_precision_error_falls_back_to_the_ladder():
@@ -294,6 +331,31 @@ def test_table_discovery_precision_error_falls_back_to_the_ladder():
     for n, p in want.items():
         assert sval(gr.dist.coords.get(n, 0.0)) == pytest.approx(
             p, abs=1e-12), n
+
+
+@pytest.mark.parametrize("src, cap", [
+    # seven arguments against a table cap lowered to four
+    (r"(fix (\f:nat->nat. \n:nat. ifz n then 0 else ifz dice(1/2) "
+     r"then f (pred n) else ifz dice(1/2) then f n else 1)) 6", 4),
+    # Newton's evaluation meets an argument discovery did not see
+    (r"(fix (\f:nat->nat. \x:nat. ifz dice(3/5) then 0 else f (f x))) 1",
+     None),
+    # coordinate n is 10^-10n: discovery's values underflow to 0.0 past
+    # coordinate 32, so Newton's seeded partials land outside the support
+    (r"fix (\x:nat. ifz dice(9999999999/10000000000) then 0 else succ x)",
+     None),
+])
+def test_table_that_gives_up_unrolls_within_enumeration(src, cap,
+                                                       monkeypatch):
+    if cap is not None:
+        monkeypatch.setattr(fixpoints, "_TABLE_CAP", cap)
+    t = parse_term(src)
+    gr = ground_denot(t, CFG)
+    assert gr.converged and gr.depth > 8
+    res = enumerate_paths(init_state(t), max_choices=16)
+    lo = float(res.converged_mass)
+    assert lo - 1e-12 <= sval(gr.dist.mass0()) \
+        <= lo + float(res.open_mass) + 1e-12
 
 
 @pytest.mark.parametrize("k", [k for k in range(21) if k != 10])
