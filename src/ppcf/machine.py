@@ -44,6 +44,21 @@ at most ``_MAX_SEGMENTS`` segments, so a counter whose numerals keep
 growing as they return through its frames cannot grow the table
 without bound.
 
+Sampling follows segments as a trace tree (Gal and Franz 2006).  A coin
+segment that pushed frames, or kept its key frame, fixes the top frame
+it leaves, so for bit ``b`` the key after the coin is ``(id(num(b)),
+id(that frame))`` whatever stack it started on: the numeral is interned
+and the frame is one the segment holds.  Such a segment carries a slot
+``[next0, next1, threshold]`` that links it, per bit, to the segment
+recorded under that key.  ``_sample`` replays segments itself, flips
+against the slot's exact threshold and takes the next segment from the
+slot, looking the key up only while the link is unset.  A segment that
+ends elsewhere has no slot, nor has a coin segment that popped its key
+frame and pushed nothing, since the frame it leaves on top varies;
+after one of those ``_sample`` looks the next key up.  It calls
+``_advance`` only when the key has no segment or replay would reach the
+budget, so stepping, recording and cuts happen where they did.
+
 The cycle check restarts at each segment start and still finds every
 repeat stepping finds.  A push makes a fresh tuple and a pop only gives
 back a tail, so every state of a segment sits on ``T`` or on frames
@@ -96,7 +111,9 @@ class _SubstCache:
     the objects its key names (a segment holds its start focus and key
     frame), which pins their ids.  A copied or unpickled state would
     carry ids of objects it does not hold, so the memo pickles and
-    deep-copies as an empty one, segments included.
+    deep-copies as an empty one, segments included.  A segment's link
+    slot holds the segments it leads to, which pins their keys in turn;
+    links add no entries, and the slots go with the segments.
     """
 
     __slots__ = ("table", "coins", "pinned", "segments")
@@ -106,7 +123,8 @@ class _SubstCache:
         self.coins: dict[int, float] = {}       # id(rate) -> threshold
         self.pinned: list = []                  # the rates in coins
         # (id(focus), id(key frame)) -> (focus, key frame, steps,
-        # label bumps, popped key frame, frames left pushed, kind, value)
+        # label bumps, popped key frame, frames left pushed, kind, value,
+        # link slot or None)
         self.segments: dict[tuple[int, int], tuple] = {}
 
     def __reduce__(self):
@@ -130,11 +148,13 @@ class _SubstCache:
         holds exactly (``c <= 2**53`` as ``r <= 1``), so
         ``random() < threshold(r)`` decides ``random() < r`` without
         rational arithmetic.  ``float(r)`` would not: at ``r = 2/3`` it
-        rounds down onto a value ``random()`` can return.
+        rounds down onto a value ``random()`` can return.  Memoised per
+        rate object.
         """
-        thr = math.ceil(r * _TWO53) / _TWO53
-        self.coins[id(r)] = thr
-        self.pinned.append(r)
+        thr = self.coins.get(id(r))
+        if thr is None:
+            thr = self.coins[id(r)] = math.ceil(r * _TWO53) / _TWO53
+            self.pinned.append(r)
         return thr
 
 
@@ -234,7 +254,7 @@ def _advance(focus, stack, labels, steps, max_steps, cache, on_state=None):
         if on_state is None:
             seg = segments.get(key)
             if seg is not None and steps + seg[2] < max_steps:
-                _, _, n, bumps, popped, pushed, kind, val = seg
+                _, _, n, bumps, popped, pushed, kind, val, _ = seg
                 steps += n
                 for l, k in bumps:
                     labels[l] = labels.get(l, 0) + k
@@ -349,8 +369,11 @@ def _advance(focus, stack, labels, steps, max_steps, cache, on_state=None):
                 fr, s = s
                 pushed.append(fr)
             pushed.reverse()
+            link = None
+            if kind == "dice" and (depth or not popped):
+                link = [None, None, cache.threshold(val)]
             segments[key] = (start_focus, top, steps - start_steps, bumps,
-                             popped, tuple(pushed), kind, val)
+                             popped, tuple(pushed), kind, val, link)
         if kind is not _NEXT:
             return (kind, val, stack, steps)
 
@@ -431,20 +454,40 @@ def _sample(state, rng, max_steps) -> SampleRecord:
     focus, stack = state.focus, _link(state.frames)
     steps = 0
     cache = state.cache
-    coins = cache.coins
-    zero, one = num(0), num(1)
+    segments = cache.segments
+    bits = (num(0), num(1))
+    seg = segments.get((id(focus), id(None if stack is None else stack[0])))
     while True:
-        kind, val, stack, steps = _advance(
-            focus, stack, labels, steps, max_steps, cache)
+        if seg is None or steps + seg[2] >= max_steps:
+            kind, val, stack, steps = _advance(
+                focus, stack, labels, steps, max_steps, cache)
+        else:
+            _, top, n, bumps, popped, pushed, kind, val, link = seg
+            steps += n
+            for l, k in bumps:
+                labels[l] = labels.get(l, 0) + k
+            if popped:
+                stack = stack[1]
+            for fr in pushed:
+                stack = (fr, stack)
+            if link is not None:        # a coin: flip, follow the link
+                b = rng.random() >= link[2]
+                focus = bits[b]
+                seg = link[b]
+                if seg is None:
+                    seg = link[b] = segments.get(
+                        (id(focus), id(pushed[-1] if pushed else top)))
+                continue
         if kind == "dice":
-            thr = coins.get(id(val))
-            if thr is None:
-                thr = cache.threshold(val)
-            focus = zero if rng.random() < thr else one
+            focus = bits[rng.random() >= cache.threshold(val)]
+        elif kind is _NEXT:         # only a replay ends here
+            focus = val
         elif kind == "done":
             return SampleRecord(val == 0, val, labels, steps)
         else:
             return SampleRecord(False, None, labels, steps)
+        seg = segments.get(
+            (id(focus), id(None if stack is None else stack[0])))
 
 
 def enumerate_paths(state: State,

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import ppcf.machine
 
 from ppcf.machine import (
-    CountEstimate, State, _sample, enumerate_paths,
+    CountEstimate, SampleRecord, State, _sample, enumerate_paths,
     estimate_conditional_count, init_state, run, sample, split_seed,
     state_type,
 )
@@ -261,8 +262,11 @@ def test_coin_compares_exactly(rate, u, bit):
     assert float(Fraction(2, 3)) == 6004799503160661 / 2 ** 53
     assert (u < Fraction(rate)) == (bit == 0)
     state = init_state(parse_term(f"dice({rate})"))
-    rec = _sample(state, _FixedRng(u), 10)     # the memo is the state's
-    assert rec.value == bit and rec.steps == 1
+    # the first run steps and records the coin's segment, the second
+    # replays it and flips against its link slot
+    for _ in range(2):
+        rec = _sample(state, _FixedRng(u), 10)     # the memo is the state's
+        assert rec.value == bit and rec.steps == 1
 
 
 # (converged, value, labels, steps) of sample on mq(3/4) with a marked
@@ -442,15 +446,53 @@ def test_machine_outputs_pinned():
 
 # -- replaying recorded segments gives what stepping gives
 
+def _per_coin_sample(state, seed, max_steps):
+    """Sampling as it was before linked segments: one ``_advance`` per
+    coin, each coin compared with its rate as an exact rational."""
+    rng = random.Random(seed)
+    labels = {}
+    focus, stack = state.focus, ppcf.machine._link(state.frames)
+    steps = 0
+    while True:
+        kind, val, stack, steps = ppcf.machine._advance(
+            focus, stack, labels, steps, max_steps, state.cache)
+        if kind == "dice":
+            focus = num(0) if rng.random() < val else num(1)
+        elif kind == "done":
+            return SampleRecord(val == 0, val, labels, steps)
+        else:
+            return SampleRecord(False, None, labels, steps)
+
+
+def _coin_frames_state():
+    # a coin in focus over frames that were never stepped into
+    return State(parse_term("dice(2/3)"),
+                 (parse_term("ifz 0 then dice(1/3) else succ 0"),
+                  parse_term("let y = 0 in pred y")))
+
+
 def test_warm_and_cold_samples_agree_at_every_cap():
-    # a cap inside a recorded segment must cut on the step stepping cuts
-    t = App(make_mq(Fraction(3, 4)), Mark(num(0), "t"))
-    warm = init_state(t)
-    for cap in [5000, *range(1, 81)]:
-        for i in range(4 if cap < 5000 else 20):
-            seed = split_seed(cap, i)
-            assert (sample(warm, seed, max_steps=cap)
-                    == sample(init_state(t), seed, max_steps=cap)), (cap, i)
+    # a cap inside a recorded segment must cut on the step stepping cuts,
+    # and following links must draw what one _advance per coin draws
+    terms = gen_corpus(40, 11, labeled=True) + gen_corpus(40, 3)
+    terms += [App(make_mq(Fraction(q)), Mark(num(0), "t"))
+              for q in ("1/4", "1/2", "3/4", "19/20")]
+    terms += [parse_term(s) for s in (
+        "dice(1/2)",                                    # the empty stack
+        "ifz dice(1/2) then dice(1/3) else dice(2/3)",  # after a pop
+        "let y = dice(1/2) in mark[a] dice(1/3)",
+    )]
+    makers = [lambda t=t: init_state(t) for t in terms]
+    makers.append(_coin_frames_state)
+    for k, make in enumerate(makers):
+        warm = make()
+        if k % 2:
+            enumerate_paths(warm, max_steps=2000, max_choices=8)
+        for cap in [5000, *range(1, 61)]:
+            for i in range(2 if cap < 5000 else 10):
+                seed = split_seed(cap, i)
+                assert (sample(warm, seed, max_steps=cap)
+                        == _per_coin_sample(make(), seed, cap)), (k, cap, i)
 
 
 def test_observed_runs_agree_with_unobserved():
@@ -490,9 +532,21 @@ def test_segment_table_stays_small():
 
 def test_segments_pin_their_keys():
     state = _mq34()
-    sample(state, 1, max_steps=5000)
-    for key, seg in state.cache.segments.items():
+    for seed in range(3):
+        sample(state, seed, max_steps=5000)
+    segments = state.cache.segments
+    linked = 0
+    for key, seg in segments.items():
         assert key == (id(seg[0]), id(seg[1]))
+        link, pushed = seg[8], seg[5]
+        if link is None:
+            continue
+        top = pushed[-1] if pushed else seg[1]      # the top after replay
+        for b in (0, 1):
+            if link[b] is not None:
+                linked += 1
+                assert link[b] is segments[(id(num(b)), id(top))]
+    assert linked
 
 
 @pytest.mark.parametrize("src, value", [
