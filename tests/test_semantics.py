@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -505,3 +506,30 @@ def test_open_fix_gets_a_family_per_visit():
 def test_bad_config_rejected(kw):
     with pytest.raises(PpcfError):
         SemConfig(**kw)
+
+
+def _denotations():
+    """Every plain generated program's denotation, each coordinate with
+    its sorted partials, and every expected count of the labeled corpus,
+    as one list of reprs."""
+    def scalar(c):
+        return (sval(c), sorted(sparts(c).items()))
+    out = []
+    for t in gen_corpus(100, 20260814):
+        gr = ground_denot(t)
+        out.append((sorted((n, scalar(c)) for n, c in gr.dist.coords.items()),
+                    scalar(gr.dist.overflow), gr.converged, gr.depth))
+    for t in gen_corpus(100, 7, labeled=True):
+        out += [expected_count(t, label) for label in sorted(labels_of(t))]
+    return [repr(x) for x in out]
+
+
+# computed before entries closed during discovery: a faster solve must
+# leave every bit as it is
+DENOTATIONS_SHA256 = (
+    "a77b753d1bdbeb4e4962374788d490d0de06d68b1d0210c52202d4428f3c0bc8")
+
+
+def test_denotations_pinned():
+    digest = hashlib.sha256("\n".join(_denotations()).encode())
+    assert digest.hexdigest() == DENOTATIONS_SHA256
