@@ -416,7 +416,15 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away; what is still buffered goes
+        # to the null device, so that the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output is closed", file=sys.stderr)
+        return EXIT_USAGE
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     except PpcfError as e:

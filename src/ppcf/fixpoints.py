@@ -10,7 +10,7 @@ map is a power series, so the table is a monotone polynomial system
 u = F(u), where F evaluates the functional at an argument with the
 table standing for the recursive variable (at None, with the entry's
 current value standing for it).  A call with a new argument
-starts a solve, in three stages.
+starts a solve, in three stages; the first two interleave.
 
 1. Discovery.  A worklist evaluates F at each new argument, with the
    current values for the entries it reads and 0 for a miss; the miss
@@ -19,10 +19,15 @@ starts a solve, in three stages.
    back onto the worklist.  All coefficients are nonnegative, so the
    support of F(u) depends only on the support of u, and discovery ends
    with the support of the least fixpoint and every argument it calls.
-   Its values are thrown away.
-2. Components.  The strongly connected components of the read graph are
-   solved callees first, so a component reads only itself and solved
-   entries.  One without a self-loop is evaluated once.
+2. Closing.  Right after an evaluation that leaves an entry off the
+   worklist and read only itself and closed entries, the entry closes
+   into the table.  Those reads saw final values (a closed entry is read
+   from the table) and the least fixpoint's support, so this is the
+   evaluation a callees-first pass would make.  An entry that does not
+   read itself keeps its value; one that does is solved by Newton at
+   once, and its readers go back onto the worklist.  What is open at the
+   end (entries that read each other, and their readers) closes by
+   strongly connected components of the read graph, callees first.
 3. Newton.  A recursive component gets Newton steps from u = 0 over its
    support coordinates.  One evaluation, with coordinate j seeded as
    ``Dual(u_j, {private_j: 1})``, gives F(u), the Jacobian J (the private
@@ -75,8 +80,7 @@ import math
 import sys
 
 from .semantics import (
-    VBot, VFix, ZERO, Dist, Dual, PrecisionError, Scalar, _szero, sparts,
-    sval,
+    VBot, VFix, ZERO, Dist, Dual, PrecisionError, Scalar, sparts, sval,
 )
 from .syntax import NAT, Arrow, Fix, Lam
 
@@ -180,11 +184,12 @@ class Session:
     """One solve of a table: the entries found so far, with their
     current values and supports, and who read whom."""
 
-    __slots__ = ("index", "args", "vals", "supp", "reads", "readers",
-                 "todo", "cur", "live", "failed")
+    __slots__ = ("index", "keys", "args", "vals", "supp", "reads",
+                 "readers", "todo", "cur", "live", "closed", "failed")
 
     def __init__(self):
         self.index: dict = {}      # arg fingerprint -> entry number
+        self.keys: list = []       # entry number -> arg fingerprint
         self.args: list = []
         self.vals: list = []       # current value of each entry
         self.supp: list = []       # its nonzero coordinates, -1 overflow
@@ -195,6 +200,7 @@ class Session:
         self.todo: set = set()
         self.cur = -1              # entry under evaluation in discovery
         self.live = None           # entries a component may read
+        self.closed: set = set()   # entries whose value is in the table
         self.failed = False        # give up the table for the ladder
 
     def read(self, fp, x: Dist | None) -> Dist:
@@ -205,6 +211,7 @@ class Session:
                     self.failed = True
                     return ZERO
                 i = self.index[fp] = len(self.args)
+                self.keys.append(fp)
                 self.args.append(x)
                 self.vals.append(ZERO)
                 self.supp.append(frozenset())
@@ -245,7 +252,6 @@ def solve(ev, f: VFix, fp, x: Dist | None):
 
 def _discover_and_solve(ev, f: VFix, s: Session, fp,
                         x: Dist | None) -> None:
-    fam = f.fam
     s.read(fp, x)
     while s.todo and not s.failed:
         i = max(s.todo)
@@ -257,18 +263,36 @@ def _discover_and_solve(ev, f: VFix, s: Session, fp,
         if supp != s.supp[i]:
             s.supp[i] = supp
             s.todo |= s.readers[i]
-    fps = list(s.index)
-    for comp in [] if s.failed else _components(s.reads):
+        if i not in s.todo and s.closed.issuperset(s.reads[i] - {i}):
+            _close(ev, f, s, [i])
+            if i in s.reads[i]:
+                s.live = None
+                s.todo |= s.readers[i] - {i}
+    if s.failed or len(s.closed) == len(s.args):
+        return
+    for comp in _components(s.reads):
         i = comp[0]
+        if i in s.closed:
+            continue
         if len(comp) == 1 and i not in s.reads[i]:
             s.live = ()
-            solved = {i: _entry(ev, f, s.args[i])}
-        else:
-            solved = _newton(ev, f, s, comp)
+            s.vals[i] = _entry(ev, f, s.args[i])
+        _close(ev, f, s, comp)
         if s.failed:
             break
-        for i, val in solved.items():
-            fam.table[fps[i]] = val
+
+
+def _close(ev, f: VFix, s: Session, comp: list) -> None:
+    """Put component comp, which reads only itself and closed entries,
+    into the table: one entry that does not read itself keeps its
+    value, and a recursive component gets Newton's method.  (After a
+    failure the table is dropped whatever it holds.)"""
+    i = comp[0]
+    solved = {i: s.vals[i]} if len(comp) == 1 and i not in s.reads[i] \
+        else _newton(ev, f, s, comp)
+    for i, val in solved.items():
+        f.fam.table[s.keys[i]] = val
+    s.closed.update(solved)
 
 
 def _entry(ev, f: VFix, x: Dist | None) -> Dist:
@@ -316,7 +340,7 @@ def _newton(ev, f: VFix, s: Session, comp: list) -> dict:
             for n, c in [*val.coords.items(), (-1, val.overflow)]:
                 j = pos.get((i, n))
                 if j is None:
-                    if not _szero(c):       # outside the support
+                    if c:       # outside the support
                         s.failed = True
                         return {}
                     continue
@@ -355,8 +379,8 @@ def _newton(ev, f: VFix, s: Session, comp: list) -> dict:
 
 
 def _support(d: Dist) -> frozenset:
-    out = [n for n, c in d.coords.items() if not _szero(c)]
-    if not _szero(d.overflow):
+    out = [n for n, c in d.coords.items() if c]
+    if d.overflow:
         out.append(-1)
     return frozenset(out)
 
@@ -367,7 +391,7 @@ def _entry_dist(supp, pos: dict, i: int, scalar) -> Dist:
     over: Scalar = 0.0
     for n in supp:
         c = scalar(pos[(i, n)])
-        if _szero(c):
+        if not c:
             continue
         if n < 0:
             over = c

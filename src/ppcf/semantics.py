@@ -113,6 +113,10 @@ class Dual:
 
     __rmul__ = __mul__
 
+    def __bool__(self):
+        # nonzero in its value or in some partial
+        return self.v != 0.0 or any(self.d.values())
+
     def __repr__(self):
         return f"Dual({self.v!r}, {self.d!r})"
 
@@ -126,12 +130,6 @@ def sval(x: Scalar) -> float:
 
 def sparts(x: Scalar) -> dict[str, float]:
     return x.d if type(x) is Dual else {}
-
-
-def _szero(x: Scalar) -> bool:
-    if type(x) is Dual:
-        return x.v == 0.0 and not any(x.d.values())
-    return x == 0.0
 
 
 def _sdiff(a: Scalar, b: Scalar) -> float:
@@ -186,16 +184,16 @@ class Dist:
         return t
 
     def scaled(self, c: Scalar) -> "Dist":
-        if _szero(c):
+        if not c:
             return ZERO
         return Dist({n: c * x for n, x in self.coords.items()},
-                    c * self.overflow if not _szero(self.overflow) else 0.0)
+                    c * self.overflow if self.overflow else 0.0)
 
     def plus(self, o: "Dist") -> "Dist":
-        coords = dict(self.coords)
-        for n, c in o.coords.items():
-            prev = coords.get(n)
-            coords[n] = c if prev is None else prev + c
+        a, b = self.coords, o.coords
+        coords = {**a, **b}
+        for n in a.keys() & b.keys():
+            coords[n] = a[n] + b[n]
         return Dist(coords, self.overflow + o.overflow)
 
     def shifted_up(self, nmax: int) -> "Dist":
@@ -364,7 +362,7 @@ class VSum:
 
 
 def _scale_val(c: Scalar, v):
-    if _szero(c):
+    if not c:
         return None
     if type(v) is Dist:
         return v.scaled(c)
@@ -445,9 +443,9 @@ class _Eval:
             d = self.obs(self.eval(t.scrut, env))
             c0, cpos = d.mass0(), d.mass_pos()
             out = None
-            if not _szero(c0):
+            if c0:
                 out = _scale_val(c0, self.eval(t.zero, env))
-            if not _szero(cpos):
+            if cpos:
                 out = _add_val(out, _scale_val(cpos, self.eval(t.pos, env)))
             return out if out is not None else VBot
         if cls is Let:
@@ -458,7 +456,7 @@ class _Eval:
                     f"{sval(d.overflow)}; the bound numeral is unknown")
             out = None
             for n, c in sorted(d.coords.items()):
-                if _szero(c):
+                if not c:
                     continue
                 env2 = dict(env)
                 env2[t.name] = Dist.dirac(n, self.cfg.nmax)
@@ -467,8 +465,7 @@ class _Eval:
         if cls is Mark:
             # the gate scales the body (see the module docstring)
             c = self.gates.get(t.label, 1.0)
-            out = None if _szero(c) else \
-                _scale_val(c, self.eval(t.body, env))
+            out = _scale_val(c, self.eval(t.body, env)) if c else None
             return out if out is not None else VBot
         raise TypeError(f"not a term: {t!r}")
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -172,6 +173,29 @@ def test_bad_settings_exit_2(programs, argv):
     assert r.returncode == 2
     assert r.stdout == ""
     assert "error:" in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("argv, unbuffered", [
+    (["denot", "geo"], ""),
+    (["denot", "geo", "--nmax", "1000"], "1"),
+    (["eval", "zero"], ""),
+])
+def test_closed_stdout_exits_2(programs, monkeypatch, argv, unbuffered):
+    # a reader that went away, as in `ppcf denot geo.ppcf | head -c 150`;
+    # a buffered stdout meets the closed pipe only at its flush
+    monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        r = subprocess.run([sys.executable, "-m", "ppcf.cli", "--quiet",
+                            argv[0], programs(argv[1]), *argv[2:]],
+                           stdout=write, stderr=subprocess.PIPE, text=True,
+                           timeout=60)
+    finally:
+        os.close(write)
+    assert r.returncode == 2
+    assert "error:" in r.stderr and "Traceback" not in r.stderr
+    assert "Exception ignored" not in r.stderr
 
 
 def test_deep_input_exits_2(capsys, programs):

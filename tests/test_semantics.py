@@ -248,11 +248,43 @@ def test_component_past_the_cap_unrolls():
     # quadratic system
     (r"(fix (\f:nat->nat. \x:nat. ifz dice(1/3) then dice(1/4) "
      r"else ifz f x then f x else f x)) 0", {0: 1 / 8, 1: 3 / 8}),
+    # f(3) and f(2) read the component of f(1) and f(0): they close
+    # after it, in the components pass
+    (r"(fix (\f:nat->nat. \x:nat. ifz pred x then (ifz dice(1/2) then x "
+     r"else f (ifz x then 1 else 0)) else f (pred x))) 3",
+     {0: 1 / 3, 1: 2 / 3}),
 ])
 def test_newton_solves_components_of_several_coordinates(src, want):
     gr = ground_denot(parse_term(src), CFG)
     assert gr.converged and gr.depth == 8
     assert {n: sval(c) for n, c in gr.dist.coords.items()} == want
+
+
+def test_entries_close_during_discovery(monkeypatch):
+    # an entry that reads only itself and closed entries closes right
+    # after its evaluation; on a chain each entry is evaluated on its
+    # first visit and once more after its callee closes, and a third
+    # pass over them (11 and 199 evaluations) is waste
+    calls = [0]
+    entry = fixpoints._entry
+
+    def counted(*args):
+        calls[0] += 1
+        return entry(*args)
+    monkeypatch.setattr(fixpoints, "_entry", counted)
+    for t, want in [
+        # f(3) .. f(1) twice each, f(0) once
+        (parse_term(r"(fix (\f:nat->nat. \n:nat. ifz n then 0 "
+                    r"else f (pred n))) 3"), 7),
+        # 65 numerals twice each, then the overflow entry reads itself:
+        # two discovery evaluations and two Newton steps
+        (corpus.load_program("geo"), 2 * 65 + 4),
+        # one entry that reads itself: discovery and Newton alone
+        (App(make_mq(Fraction(3, 4)), num(0)), 8),
+    ]:
+        calls[0] = 0
+        assert ground_denot(t, SemConfig(nmax=64)).converged
+        assert calls[0] == want, to_text(t)
 
 
 # two entries, f(0) and f(1), each with 3 coordinates, read through

@@ -7,7 +7,7 @@ from ppcf import corpus
 from ppcf.machine import enumerate_paths, init_state
 from ppcf.progen import gen_corpus
 from ppcf.semantics import (
-    Dist, Dual, PrecisionError, SemConfig, _Eval, _szero, ground_denot,
+    Dist, Dual, PrecisionError, SemConfig, _Eval, ground_denot,
     prob_zero, sval,
 )
 from ppcf.syntax import (
@@ -173,7 +173,7 @@ def test_direct_gates_equal_the_spy_denotation_bit_for_bit():
                 (0.0, Fraction(2, 5), Fraction(5, 7), 1.0), (False, True)):
             gates = {l: Dual(float(rate), {l: 1.0}) if seeded
                      else float(rate) for l in varmap}
-            env = {varmap[l]: Dist({} if _szero(c) else {0: c})
+            env = {varmap[l]: Dist({0: c} if c else {})
                    for l, c in gates.items()}
             for depth in (8, 64):
                 ref, ev = _Eval(cfg, depth), _Eval(cfg, depth, gates)
