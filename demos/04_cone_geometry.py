@@ -66,8 +66,8 @@ print("dt/dx =", np.round(D[:, 0], 4), " expect", [round(float(w), 4) for w in w
 # series, and the first-order bound t(x) + Dt(x).u <= t(x + u) holds
 # whenever x and x + u stay in the ball: entire maps are convex in every
 # direction that matters.
-s = random_series(rng, web, nat_web(2), mass=1.0)
-r = random_series(rng, nat_web(2), ("*",), mass=1.0)
+s = random_series(rng, web, nat_web(2))
+r = random_series(rng, nat_web(2), ("*",))
 xx = random_point(rng, 3, 0.8)
 uu = random_point(rng, 3, 0.1)
 print(f"\nchain rule max error : {chain_rule_check(s, r, xx, uu):.2e}")

@@ -42,32 +42,31 @@ def _read(path: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as e:
-        print(f"error: {path}: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise PpcfError(f"{path}: {e}")
 
 
 def _load(path: str):
+    src = _read(path)
     try:
-        t = parse_term(_read(path))
+        t = parse_term(src)
         typecheck(t)
     except PpcfError as e:
-        print(f"error: {path}: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise PpcfError(f"{path}: {e}")
     return t
 
 
-def _rate_map(pairs, what="--rate"):
+def _label_map(items, flag: str, what: str, read) -> dict:
+    """The label=value items of a repeated flag, each value read by
+    read, which raises ValueError or ZeroDivisionError on bad text."""
     out = {}
-    for item in pairs or ():
-        k, _, v = item.partition("=")
+    for item in items or ():
+        k, eq, v = item.partition("=")
         try:
-            if not _:
+            if not eq:
                 raise ValueError
-            out[k] = Fraction(v)
+            out[k] = read(v)
         except (ValueError, ZeroDivisionError):
-            print(f"error: {what} expects label=rational, got {item!r}",
-                  file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
+            raise PpcfError(f"{flag} expects label={what}, got {item!r}")
     return out
 
 
@@ -133,8 +132,7 @@ def cmd_eval(args) -> int:
     t = _load(args.file)
     if args.choices is not None:
         if any(c not in "01" for c in args.choices):
-            print("error: --choices must be a bit string", file=sys.stderr)
-            return EXIT_USAGE
+            raise PpcfError("--choices must be a bit string")
         rec = machine.run(machine.init_state(t), args.choices,
                           max_steps=_max_steps(
                               args, machine.DEFAULT_MAX_STEPS))
@@ -194,12 +192,10 @@ def cmd_denot(args) -> int:
     labels = labels_of(t)
     rates, seed = None, ()
     if labels:
-        rates = _rate_map(args.rate)
+        rates = _label_map(args.rate, "--rate", "rational", Fraction)
         missing = labels - rates.keys()
         if missing:
-            print(f"error: labels without --rate: {sorted(missing)}",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise PpcfError(f"labels without --rate: {sorted(missing)}")
         if args.seed_labels:
             seed = labels
     res = semantics.ground_denot(t, cfg, rates, seed)
@@ -211,8 +207,7 @@ def cmd_denot(args) -> int:
 def cmd_expect(args) -> int:
     t = _load(args.file)
     if args.label not in labels_of(t):
-        print(f"error: label {args.label!r} not in program", file=sys.stderr)
-        return EXIT_USAGE
+        raise PpcfError(f"label {args.label!r} not in program")
     out: dict = {"label": args.label}
     if args.method in ("dual", "both"):
         res = semantics.expected_count(t, args.label, _sem_config(args))
@@ -256,19 +251,10 @@ def cmd_translate(args) -> int:
     if args.mode == "strip":
         out = strip(t)
     elif args.mode == "lcof":
-        out = lcof(t, _rate_map(args.rate))
+        out = lcof(t, _label_map(args.rate, "--rate", "rational",
+                                 Fraction))
     else:
-        varmap = None
-        if args.var:
-            varmap = {}
-            for item in args.var:
-                if "=" not in item:
-                    print(f"error: --var expects label=name, got {item!r}",
-                          file=sys.stderr)
-                    return EXIT_USAGE
-                k, v = item.split("=", 1)
-                varmap[k] = v
-        out = spy(t, varmap)
+        out = spy(t, _label_map(args.var, "--var", "name", str) or None)
     _emit({"mode": args.mode, "term": to_text(out)})
     return 0
 
@@ -331,9 +317,8 @@ def cmd_check(args) -> int:
             ctxs = corpus.load_contexts()
         p = Fraction(str(args.p))
         rep = observe.tamed_bound_check(left, right, p, ctxs)
-    except (PpcfError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    except ValueError as e:
+        raise PpcfError(str(e))
     _emit({"suite": suite, "p": float(p), "denot_distance": rep.denot_dist,
            "bound": rep.bound, "max_gap": rep.max_gap,
            "gaps": [{"context": i, "gap": g} for i, g in rep.gaps],
@@ -343,8 +328,16 @@ def cmd_check(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write, so help on a closed stdout
+        # would exit 0 unread; the error goes on to main instead
+        if message:
+            print(message, end="", file=file or sys.stderr, flush=True)
+
+
 def _parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="ppcf",
         description="probabilistic PCF: run, denote, differentiate, check")
     ap.add_argument("--quiet", action="store_true",

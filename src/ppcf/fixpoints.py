@@ -123,8 +123,8 @@ class Family:
     environment.
     """
 
-    __slots__ = ("functional", "node", "keyed", "memo", "gcache", "refs",
-                 "table", "sess", "body")
+    __slots__ = ("functional", "node", "keyed", "memo", "gcache", "table",
+                 "sess", "body")
 
     def __init__(self, functional, node: Fix, table: bool):
         self.functional = functional
@@ -132,9 +132,8 @@ class Family:
         # a table over ground arguments; a fix of any other type is a
         # table only when observed, which makes it ground
         self.keyed = type(node.arg) is Lam and node.arg.ty == _NAT_TO_NAT
-        self.memo: dict = {}       # (depth, arg fingerprint) -> value
+        self.memo: dict = {}       # (depth, arg fingerprint) -> (arg, value)
         self.gcache: dict = {}     # depth -> unrolled functional value
-        self.refs: list = []       # pins identity-fingerprinted args
         # arg fingerprint -> solved value; None once the family unrolls
         self.table = {} if table else None
         self.sess = None           # the Session under way
@@ -159,15 +158,15 @@ class Family:
         if depth <= 0:
             return VBot
         ev.unrolled = True
-        pinned = len(self.refs)
-        fp = None if x is None else x.fingerprint(self.refs)
-        if len(self.refs) > pinned:
-            # an identity key may stand for a table under solve, whose
-            # values move between its entry evaluations
+        fp = None if x is None else x.fingerprint()
+        if not (x is None or x is VBot or type(x) is Dist):
+            # a function value is keyed by identity (its memo entry holds
+            # it, so the id is not reused) and may stand for a table under
+            # solve, whose values move between its entry evaluations
             fp = (ev.entries, fp)
         hit = self.memo.get((depth, fp))
         if hit is not None:
-            return hit
+            return hit[1]
         for k in range(1, depth + 1):
             key = (k, fp)
             if key in self.memo:
@@ -176,8 +175,8 @@ class Family:
             if g is None:
                 g = ev.apply(self.functional, VFix(self, k - 1))
                 self.gcache[k] = g
-            self.memo[key] = ev.obs(g) if x is None else ev.apply(g, x)
-        return self.memo[(depth, fp)]
+            self.memo[key] = (x, ev.obs(g) if x is None else ev.apply(g, x))
+        return self.memo[(depth, fp)][1]
 
 
 class Session:

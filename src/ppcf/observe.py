@@ -81,29 +81,23 @@ def denot_dist_nat(m1: Term, m2: Term, cfg: SemConfig = DEFAULT_CONFIG
 
 
 def tamed_bound_check(m1: Term, m2: Term, p: Fraction,
-                      contexts: Sequence[Term],
-                      cfg: SemConfig = DEFAULT_CONFIG,
-                      slack: float = 1e-6) -> TamedReport:
+                      contexts: Sequence[Term]) -> TamedReport:
     """Every tamed context separates the two programs by at most
-    p/(1-p) times the distance of their denotations."""
+    p/(1-p) times the distance of their denotations, up to 1e-6."""
     p = Fraction(p)
     if not (0 < p < 1):
         raise ValueError("p must lie strictly between 0 and 1")
-    d = denot_dist_nat(m1, m2, cfg)
-    bound = float(p) / (1.0 - float(p)) * d + slack
+    d = denot_dist_nat(m1, m2)
+    bound = float(p) / (1.0 - float(p)) * d + 1e-6
     gaps = []
     violations = []
     for i, ctx in enumerate(contexts):
-        tamed = tame(ctx, p)
-        gap = abs(prob_zero(App(tamed, m1), cfg)
-                  - prob_zero(App(tamed, m2), cfg))
+        gap = untamed_gap(m1, m2, tame(ctx, p))
         gaps.append((i, gap))
         if gap > bound:
             violations.append((i, gap, bound))
     return TamedReport(float(p), d, bound, gaps, violations)
 
 
-def untamed_gap(m1: Term, m2: Term, context: Term,
-                cfg: SemConfig = DEFAULT_CONFIG) -> float:
-    return abs(prob_zero(App(context, m1), cfg)
-               - prob_zero(App(context, m2), cfg))
+def untamed_gap(m1: Term, m2: Term, context: Term) -> float:
+    return abs(prob_zero(App(context, m1)) - prob_zero(App(context, m2)))

@@ -122,18 +122,17 @@ class _Gen:
         return t
 
 
-def gen_program(seed: int, labeled: bool = False, depth: int = 4) -> Term:
-    """Deterministic closed program of type nat for the given seed."""
+def gen_program(seed: int, labeled: bool = False) -> Term:
+    """Deterministic closed program of type nat for the given seed, of
+    term depth 4."""
     rng = random.Random(seed)
     g = _Gen(rng, labeled)
-    t = g.term([], depth)
+    t = g.term([], 4)
     if labeled and not labels_of(t):
         t = Mark(t, rng.choice(LABEL_POOL))
     typecheck(t)
     return t
 
 
-def gen_corpus(n: int, seed: int, labeled: bool = False,
-               depth: int = 4) -> List[Term]:
-    return [gen_program(split_seed(seed, i), labeled, depth)
-            for i in range(n)]
+def gen_corpus(n: int, seed: int, labeled: bool = False) -> List[Term]:
+    return [gen_program(split_seed(seed, i), labeled) for i in range(n)]

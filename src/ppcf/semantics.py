@@ -225,7 +225,7 @@ class Dist:
                               o.coords.get(n, 0.0)))
         return m
 
-    def fingerprint(self, sink=None):
+    def fingerprint(self):
         return ("d",
                 tuple(sorted((n, _fp_scalar(c))
                              for n, c in self.coords.items())),
@@ -320,15 +320,14 @@ class Closure:
     body: Term
     env: dict
 
-    def fingerprint(self, sink):
-        sink.append(self)
+    def fingerprint(self):
         return ("o", id(self))
 
 
 class _BotType:
     """Bottom of every type: the zero vector, the constantly-zero map."""
 
-    def fingerprint(self, sink):
+    def fingerprint(self):
         return ("bot",)
 
     def __repr__(self):
@@ -345,8 +344,7 @@ class VFix:
     fam: object
     depth: int
 
-    def fingerprint(self, sink):
-        sink.append(self)
+    def fingerprint(self):
         return ("o", id(self))
 
 
@@ -356,27 +354,25 @@ class VSum:
     is linear in the function, so sums distribute over apply."""
     parts: tuple  # of (Scalar, value)
 
-    def fingerprint(self, sink):
-        return ("s", tuple((_fp_scalar(c), v.fingerprint(sink))
+    def fingerprint(self):
+        return ("s", tuple((_fp_scalar(c), v.fingerprint())
                            for c, v in self.parts))
 
 
 def _scale_val(c: Scalar, v):
-    if not c:
-        return None
+    if not c or v is VBot:
+        return VBot
     if type(v) is Dist:
         return v.scaled(c)
-    if v is VBot:
-        return None
     if type(v) is VSum:
         return VSum(tuple((c * ci, vi) for ci, vi in v.parts))
     return VSum(((c, v),))
 
 
 def _add_val(a, b):
-    if a is None:
+    if a is VBot:
         return b
-    if b is None:
+    if b is VBot:
         return a
     if type(a) is Dist and type(b) is Dist:
         return a.plus(b)
@@ -442,31 +438,30 @@ class _Eval:
         if cls is Ifz:
             d = self.obs(self.eval(t.scrut, env))
             c0, cpos = d.mass0(), d.mass_pos()
-            out = None
+            out = VBot
             if c0:
                 out = _scale_val(c0, self.eval(t.zero, env))
             if cpos:
                 out = _add_val(out, _scale_val(cpos, self.eval(t.pos, env)))
-            return out if out is not None else VBot
+            return out
         if cls is Let:
             d = self.obs(self.eval(t.bound, env))
             if abs(sval(d.overflow)) > self.cfg.tol:
                 raise PrecisionError(
                     "let scrutinee carries overflow mass "
                     f"{sval(d.overflow)}; the bound numeral is unknown")
-            out = None
+            out = VBot
             for n, c in sorted(d.coords.items()):
                 if not c:
                     continue
                 env2 = dict(env)
                 env2[t.name] = Dist.dirac(n, self.cfg.nmax)
                 out = _add_val(out, _scale_val(c, self.eval(t.body, env2)))
-            return out if out is not None else VBot
+            return out
         if cls is Mark:
             # the gate scales the body (see the module docstring)
             c = self.gates.get(t.label, 1.0)
-            out = _scale_val(c, self.eval(t.body, env)) if c else None
-            return out if out is not None else VBot
+            return _scale_val(c, self.eval(t.body, env)) if c else VBot
         raise TypeError(f"not a term: {t!r}")
 
     def _fix(self, t: Fix, env: dict) -> VFix:
@@ -495,10 +490,10 @@ class _Eval:
         if f is VBot:
             return VBot
         if type(f) is VSum:
-            out = None
+            out = VBot
             for c, v in f.parts:
                 out = _add_val(out, _scale_val(c, self.apply(v, x)))
-            return out if out is not None else VBot
+            return out
         if type(f) is VFix:
             return f.fam.apply(self, f, x)
         raise PpcfError(f"cannot apply a ground value")
@@ -527,10 +522,7 @@ class _Eval:
 
 def _ladder_depths(cfg: SemConfig):
     # pure doublings, so ladder increments are comparable rung to rung
-    d = 8
-    if d > cfg.fix_iters:
-        yield max(1, cfg.fix_iters)
-        return
+    d = min(8, cfg.fix_iters)
     while d <= cfg.fix_iters:
         yield d
         d *= 2

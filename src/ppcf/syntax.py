@@ -19,14 +19,25 @@ The concrete grammar::
     type  :=  nat | type -> type              (-> right assoc)
 
 Prefix operators may also take an unparenthesised lambda, which extends
-as far right as possible.  ``#`` starts a comment running to end of line.
+as far right as possible.
+
+The tokens: a numeral is a run of decimal digits (``str.isdecimal``,
+which is what ``int`` reads), and a decimal two runs joined by ``.``; an
+identifier starts with a letter (``str.isalpha``) or ``_`` and goes on
+with letters, digits (``str.isalnum``), ``_`` and ``'``, and the
+keywords are the identifiers the grammar spells out; the symbols are
+``-> \\ : . ( ) [ ] = /``.  Spaces, tabs, carriage returns and newlines
+separate tokens, and ``#`` starts a comment running to end of line.
+Any other character is a syntax error, and so is a numeral longer than
+``int`` reads (``sys.get_int_max_str_digits``).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Union
 
 __all__ = [
     "Type", "Nat", "Arrow", "NAT",
@@ -305,66 +316,43 @@ _KEYWORDS = frozenset(
     ["succ", "pred", "dice", "let", "in", "ifz", "then", "else",
      "fix", "mark", "nat"])
 
-@dataclass(frozen=True)
-class _Tok:
+
+class _Tok(NamedTuple):
     kind: str          # num | dec | ident | kw | sym | eof
     text: str
     line: int
     col: int
 
 
+# one alternative per token class, tried in order; \d is a decimal digit
+# (str.isdecimal) and \w a letter, digit or _ (str.isalnum or _)
+_TOKEN = re.compile(r"""
+    (?P<nl>\n) | (?P<ws>[ \t\r]+) | (?P<comment>\#[^\n]*)
+  | (?P<dec>\d+\.\d+) | (?P<num>\d+) | (?P<ident>[^\W\d][\w']*)
+  | (?P<sym>->|[\\:.()\[\]=/]) | (?P<stray>.)
+""", re.VERBOSE)
+
+
 def _tokenize(src: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    i, line, bol = 0, 1, 0
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            bol = i
+    line, bol = 1, 0
+    for m in _TOKEN.finditer(src):
+        kind, text = m.lastgroup, m.group()
+        if kind == "nl":
+            line, bol = line + 1, m.end()
             continue
-        if c in " \t\r":
-            i += 1
+        if kind == "ws" or kind == "comment":
             continue
-        if c == "#":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        col = i - bol + 1
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            if j < n and src[j] == "." and j + 1 < n and src[j + 1].isdigit():
-                j += 1
-                while j < n and src[j].isdigit():
-                    j += 1
-                toks.append(_Tok("dec", src[i:j], line, col))
-            else:
-                toks.append(_Tok("num", src[i:j], line, col))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] in "_'"):
-                j += 1
-            word = src[i:j]
-            toks.append(_Tok("kw" if word in _KEYWORDS else "ident",
-                             word, line, col))
-            i = j
-            continue
-        two = src[i:i + 2]
-        if two == "->":
-            toks.append(_Tok("sym", "->", line, col))
-            i += 2
-            continue
-        if c in "\\:.()[]=/":
-            toks.append(_Tok("sym", c, line, col))
-            i += 1
-            continue
-        raise PpcfSyntaxError(f"line {line}:{col}: stray character {c!r}")
-    toks.append(_Tok("eof", "", line, n - bol + 1))
+        col = m.start() - bol + 1
+        # \w also holds digits that are not decimal, such as '²'
+        if kind == "stray" or kind == "ident" and not (
+                text[0].isalpha() or text[0] == "_"):
+            raise PpcfSyntaxError(
+                f"line {line}:{col}: stray character {text[0]!r}")
+        if kind == "ident" and text in _KEYWORDS:
+            kind = "kw"
+        toks.append(_Tok(kind, text, line, col))
+    toks.append(_Tok("eof", "", line, len(src) - bol + 1))
     return toks
 
 
@@ -503,8 +491,7 @@ class _Parser:
     def atom(self) -> Term:
         t = self.peek()
         if t.kind == "num":
-            self.next()
-            return num(int(t.text))
+            return num(self.numeral(int))
         if t.kind == "ident":
             self.next()
             return Var(t.text)
@@ -522,20 +509,27 @@ class _Parser:
             self.fail("expected an identifier")
         return self.next().text
 
+    def numeral(self, convert):
+        """convert of the next token's text; int() and Fraction() refuse
+        more than sys.get_int_max_str_digits() digits."""
+        t = self.next()
+        try:
+            return convert(t.text)
+        except ValueError:
+            raise PpcfSyntaxError(f"line {t.line}:{t.col}: numeral of "
+                                  f"{len(t.text)} characters is too long")
+
     def rational(self) -> Fraction:
         t = self.peek()
         if t.kind == "dec":
-            self.next()
-            return Fraction(t.text)
+            return self.numeral(Fraction)
         if t.kind == "num":
-            self.next()
-            p = int(t.text)
+            p = self.numeral(int)
             if self.at("sym", "/"):
                 self.next()
-                qt = self.peek()
-                if qt.kind != "num":
+                if self.peek().kind != "num":
                     self.fail("expected a denominator")
-                q = int(self.next().text)
+                q = self.numeral(int)
                 if q == 0:
                     self.fail("zero denominator")
                 return Fraction(p, q)

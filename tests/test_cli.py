@@ -14,7 +14,7 @@ def programs(tmp_path):
     def write(name, text=None):
         p = tmp_path / f"{name}.ppcf"
         p.write_text(text if text is not None else
-                     corpus.read_text(f"{name}.ppcf"))
+                     corpus.read_text(f"{name}.ppcf"), encoding="utf-8")
         return str(p)
     return write
 
@@ -179,16 +179,20 @@ def test_bad_settings_exit_2(programs, argv):
     (["denot", "geo"], ""),
     (["denot", "geo", "--nmax", "1000"], "1"),
     (["eval", "zero"], ""),
+    (["--help"], ""),
+    (["eval", "--help"], ""),
 ])
 def test_closed_stdout_exits_2(programs, monkeypatch, argv, unbuffered):
     # a reader that went away, as in `ppcf denot geo.ppcf | head -c 150`;
-    # a buffered stdout meets the closed pipe only at its flush
+    # a buffered stdout meets the closed pipe only at its flush, and
+    # argparse would drop the failed write of its help
     monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+    argv = [programs(a) if a in ("geo", "zero") else a for a in argv]
     read, write = os.pipe()
     os.close(read)
     try:
         r = subprocess.run([sys.executable, "-m", "ppcf.cli", "--quiet",
-                            argv[0], programs(argv[1]), *argv[2:]],
+                            *argv],
                            stdout=write, stderr=subprocess.PIPE, text=True,
                            timeout=60)
     finally:
@@ -199,13 +203,22 @@ def test_closed_stdout_exits_2(programs, monkeypatch, argv, unbuffered):
 
 
 def test_deep_input_exits_2(capsys, programs):
-    # the parser recurses through parentheses, the evaluator on the term
+    # the parser recurses through parentheses, the evaluator on the term;
+    # '²' is a digit but not a decimal one, which int() refuses, and so
+    # are numerals past Python's 4300-digit limit on str to int
+    long = "1" * 5000
     for cmd, text in [("eval", "(" * 10_000 + "0" + ")" * 10_000),
-                      ("denot", "succ " * 10_000 + "0")]:
+                      ("denot", "succ " * 10_000 + "0"),
+                      ("eval", "succ \u00b2"),
+                      ("eval", "dice(1/\u00b2)"),
+                      ("eval", long),
+                      ("eval", f"dice(1/{long})"),
+                      ("eval", f"dice(0.{long})")]:
         assert main(["--quiet", cmd, programs("deep", text)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+        assert len(captured.err.splitlines()) == 1
         assert "Traceback" not in captured.err
 
 

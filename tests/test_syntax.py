@@ -1,4 +1,5 @@
 import random
+import string
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,8 @@ from ppcf.machine import enumerate_paths, init_state
 from ppcf.progen import gen_corpus, gen_program
 from ppcf.syntax import (
     NAT, App, Arrow, Dice, Fix, Ifz, Lam, Let, Mark, Num, Pred,
-    PpcfSyntaxError, PpcfTypeError, Succ, Var, all_names, children, fold,
-    free_vars, labels_of, loop, make_mq, num, parse_term,
+    PpcfSyntaxError, PpcfTypeError, Succ, Var, _tokenize, all_names,
+    children, fold, free_vars, labels_of, loop, make_mq, num, parse_term,
     parse_type, rebuild, subst, subterms, to_text, type_to_text, typecheck,
 )
 from ppcf.translate import spy, strip
@@ -70,6 +71,52 @@ def test_parse_types():
 def test_parse_rejects(src):
     with pytest.raises(PpcfSyntaxError):
         parse_term(src)
+
+
+_SYMBOLS = ("->", "\\", ":", ".", "(", ")", "[", "]", "=", "/")
+_KEYWORDS = ("succ", "pred", "dice", "let", "in", "ifz", "then", "else",
+             "fix", "mark", "nat")
+
+
+def _fits(kind, text):
+    """Does text belong to the class of its token kind?"""
+    if kind == "num":
+        return text.isdecimal()
+    if kind == "dec":
+        whole, dot, frac = text.partition(".")
+        return whole.isdecimal() and dot and frac.isdecimal()
+    if kind in ("ident", "kw"):
+        return (text[0].isalpha() or text[0] == "_") \
+            and all(c.isalnum() or c in "_'" for c in text) \
+            and (text in _KEYWORDS) == (kind == "kw")
+    if kind == "sym":
+        return text in _SYMBOLS
+    return kind == "eof" and text == ""
+
+
+def test_tokenize_property():
+    # letters, decimal digits and digits that are not decimal ('²', '½'
+    # is numeric only, '٣' is a decimal digit), symbols and layout: a
+    # syntax error or tokens of their kind's class, found where they say
+    rng = random.Random(20261022)
+    alphabet = [*string.ascii_letters, *string.digits, "_", "'", "\u00b2",
+                "\u00bd", "\u0663", "\u00e9", *_SYMBOLS, "-", " ", "\t",
+                "\r", "\n", "#", "succ ", "0.5"]
+    accepted = 0
+    for _ in range(3000):
+        src = "".join(rng.choice(alphabet)
+                      for _ in range(rng.randrange(16)))
+        try:
+            toks = _tokenize(src)
+        except PpcfSyntaxError:
+            continue
+        accepted += 1
+        assert toks[-1].kind == "eof"
+        lines = src.split("\n")
+        for t in toks:
+            assert _fits(t.kind, t.text), (src, t)
+            assert lines[t.line - 1][t.col - 1:].startswith(t.text), (src, t)
+    assert accepted > 1000
 
 
 def test_dice_rate_bounds():
