@@ -327,7 +327,7 @@ class _Tok(NamedTuple):
 # one alternative per token class, tried in order; \d is a decimal digit
 # (str.isdecimal) and \w a letter, digit or _ (str.isalnum or _)
 _TOKEN = re.compile(r"""
-    (?P<nl>\n) | (?P<ws>[ \t\r]+) | (?P<comment>\#[^\n]*)
+    (?P<nl>\n) | (?P<skip>[ \t\r]+|\#[^\n]*)
   | (?P<dec>\d+\.\d+) | (?P<num>\d+) | (?P<ident>[^\W\d][\w']*)
   | (?P<sym>->|[\\:.()\[\]=/]) | (?P<stray>.)
 """, re.VERBOSE)
@@ -341,7 +341,7 @@ def _tokenize(src: str) -> list[_Tok]:
         if kind == "nl":
             line, bol = line + 1, m.end()
             continue
-        if kind == "ws" or kind == "comment":
+        if kind == "skip":
             continue
         col = m.start() - bol + 1
         # \w also holds digits that are not decimal, such as '²'
