@@ -6,6 +6,11 @@ by --quiet.  Identical flags and seed produce byte-identical output.
 
 Exit codes: 0 success, 1 property violation, 2 parse/type/usage error,
 3 a budget cut left the result empty.
+
+Each subcommand imports the modules it runs when it runs, so that a
+process pays only for those: ``eval`` loads the machine, ``denot`` the
+semantics, ``translate`` the translations, and only the cone suites of
+``check`` load numpy.
 """
 
 from __future__ import annotations
@@ -16,10 +21,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import corpus, machine, observe, progen, semantics
-from .semantics import SemConfig, sparts, sval
 from .syntax import PpcfError, labels_of, parse_term, to_text, typecheck
-from .translate import lcof, spy, strip
 
 SAMPLE_MAX_STEPS = 5_000
 
@@ -70,17 +72,18 @@ def _label_map(items, flag: str, what: str, read) -> dict:
     return out
 
 
-def _scalar_json(x):
-    return {"v": sval(x), "d": dict(sorted(sparts(x).items()))}
-
-
 def _dist_json(d) -> dict:
+    from .semantics import sparts, sval
+
+    def scalar(x):
+        return {"v": sval(x), "d": dict(sorted(sparts(x).items()))}
     top = max(d.coords, default=-1)
-    coords = [_scalar_json(d.coords.get(n, 0.0)) for n in range(top + 1)]
-    return {"coords": coords, "overflow": _scalar_json(d.overflow)}
+    coords = [scalar(d.coords.get(n, 0.0)) for n in range(top + 1)]
+    return {"coords": coords, "overflow": scalar(d.overflow)}
 
 
-def _sem_config(args) -> SemConfig:
+def _sem_config(args):
+    from .semantics import SemConfig
     return SemConfig(nmax=args.nmax, fix_iters=args.fix_iters, tol=args.tol)
 
 
@@ -129,6 +132,7 @@ def _seed(args) -> int:
 # subcommands
 
 def cmd_eval(args) -> int:
+    from . import machine
     t = _load(args.file)
     if args.choices is not None:
         if any(c not in "01" for c in args.choices):
@@ -167,10 +171,12 @@ def cmd_eval(args) -> int:
                "values": {str(k): v for k, v in sorted(values.items())}})
         return EXIT_EMPTY if cut == args.samples else 0
 
+    max_choices = machine.DEFAULT_MAX_CHOICES \
+        if args.max_choices is None else args.max_choices
     res = machine.enumerate_paths(machine.init_state(t),
                                   max_steps=_max_steps(
                                       args, machine.DEFAULT_MAX_STEPS),
-                                  max_choices=args.max_choices)
+                                  max_choices=max_choices)
     _emit({
         "mode": "exhaustive",
         "paths": [{"choices": p.choices, "weight": str(p.weight),
@@ -187,6 +193,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_denot(args) -> int:
+    from . import semantics
     t = _load(args.file)
     cfg = _sem_config(args)
     labels = labels_of(t)
@@ -210,6 +217,7 @@ def cmd_expect(args) -> int:
         raise PpcfError(f"label {args.label!r} not in program")
     out: dict = {"label": args.label}
     if args.method in ("dual", "both"):
+        from . import semantics
         res = semantics.expected_count(t, args.label, _sem_config(args))
         if res.status == semantics.OK:
             out["dual"] = {"conditional": res.conditional, "raw": res.raw,
@@ -218,6 +226,7 @@ def cmd_expect(args) -> int:
         else:
             out["dual"] = res.status
     if args.method in ("mc", "both"):
+        from . import machine
         seed = _seed(args)
         _log(args, f"sampling {args.samples} runs, seed {seed}")
         est = machine.estimate_conditional_count(
@@ -240,6 +249,7 @@ def cmd_expect(args) -> int:
 
 
 def cmd_dist(args) -> int:
+    from . import observe
     t1, t2 = _load(args.left), _load(args.right)
     d = observe.denot_dist_nat(t1, t2, _sem_config(args))
     _emit({"distance": d})
@@ -247,6 +257,7 @@ def cmd_dist(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    from .translate import lcof, spy, strip
     t = _load(args.file)
     if args.mode == "strip":
         out = strip(t)
@@ -291,7 +302,8 @@ def cmd_check(args) -> int:
         return 0 if rep.ok else EXIT_VIOLATION
 
     if suite == "adequacy":
-        cfg = SemConfig(tol=1e-12)
+        from . import machine, progen, semantics
+        cfg = semantics.SemConfig(tol=1e-12)
         bad = []
         for i, t in enumerate(progen.gen_corpus(args.trials, seed)):
             res = machine.enumerate_paths(machine.init_state(t),
@@ -308,13 +320,18 @@ def cmd_check(args) -> int:
         return 0 if not bad else EXIT_VIOLATION
 
     # tamed
+    from . import corpus, observe
     left = _load(args.left) if args.left else corpus.load_program("dice000")
     right = _load(args.right) if args.right else corpus.load_program("dice010")
+    if args.contexts:
+        text = _read(args.contexts)
+        try:
+            ctxs = corpus.parse_contexts(text)
+        except PpcfError as e:
+            raise PpcfError(f"{args.contexts}: {e}")
+    else:
+        ctxs = corpus.load_contexts()
     try:
-        if args.contexts:
-            ctxs = corpus.parse_contexts(_read(args.contexts))
-        else:
-            ctxs = corpus.load_contexts()
         p = Fraction(str(args.p))
         rep = observe.tamed_bound_check(left, right, p, ctxs)
     except ValueError as e:
@@ -352,8 +369,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--choices", default=None,
                    help="explicit bit string to run on")
     p.add_argument("--max-steps", type=_positive_int, default=None)
-    p.add_argument("--max-choices", type=_nonneg_int,
-                   default=machine.DEFAULT_MAX_CHOICES)
+    p.add_argument("--max-choices", type=_nonneg_int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_eval)
 

@@ -9,7 +9,9 @@ from __future__ import annotations
 from importlib import resources
 from typing import List
 
-from ..syntax import NAT, Arrow, Term, parse_term, typecheck
+from ..syntax import (
+    NAT, Arrow, PpcfError, Term, parse_lines, parse_term, typecheck,
+)
 
 __all__ = ["program_names", "load_program", "load_contexts", "parse_contexts",
            "read_text"]
@@ -40,14 +42,18 @@ def load_contexts(name: str = "contexts") -> List[Term]:
 
 
 def parse_contexts(text: str) -> List[Term]:
-    """The ``nat -> nat`` terms of a context file, one per line."""
+    """The ``nat -> nat`` terms of a context file, one per line; errors
+    name the line, and a file without contexts is one."""
     out = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        t = parse_term(line)
-        if typecheck(t) != Arrow(NAT, NAT):
-            raise ValueError(f"context is not nat -> nat: {line}")
+    for line, t in parse_lines(text):
+        try:
+            ty = typecheck(t)
+        except PpcfError as e:
+            raise PpcfError(f"line {line}: {e}")
+        if ty != Arrow(NAT, NAT):
+            raise PpcfError(f"line {line}: context has type {ty}, "
+                            f"not nat -> nat")
         out.append(t)
+    if not out:
+        raise PpcfError("no contexts")
     return out

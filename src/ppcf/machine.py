@@ -73,14 +73,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .syntax import (
     App, Dice, Fix, Ifz, Lam, Let, Mark, Num, Pred, PpcfError,
-    PpcfTypeError, Succ, Term, Type, Var, children, num, rebuild, subst,
-    typecheck,
+    PpcfTypeError, Record, Succ, Term, Type, Var, _set, children, num,
+    rebuild, subst, typecheck,
 )
 
 __all__ = [
@@ -158,12 +157,17 @@ class _SubstCache:
         return thr
 
 
-@dataclass(frozen=True)
-class State:
-    focus: Term
-    frames: tuple[Term, ...] = ()       # frame nodes, top of stack first
-    cache: _SubstCache = field(default_factory=_SubstCache, init=False,
-                               compare=False, repr=False)
+class State(Record):
+    """A focus term over a stack of frame nodes, top of stack first.
+    ``cache`` is the start state's memo; it is not a field."""
+
+    __slots__ = ("focus", "frames", "cache")
+    _fields = ("focus", "frames")
+
+    def __init__(self, focus: Term, frames: tuple[Term, ...] = ()) -> None:
+        _set(self, "focus", focus)
+        _set(self, "frames", frames)
+        _set(self, "cache", _SubstCache())
 
 
 def init_state(t: Term) -> State:
@@ -188,43 +192,62 @@ def state_type(state: State) -> Type:
     return typecheck(t)
 
 
-@dataclass(frozen=True)
-class PathRecord:
-    choices: str                 # bits, in consumption order
-    weight: Fraction
-    labels: dict[str, int]
-    steps: int
+class PathRecord(Record):
+    __slots__ = ("choices", "weight", "labels", "steps")
+
+    def __init__(self, choices: str, weight: Fraction,
+                 labels: dict[str, int], steps: int) -> None:
+        _set(self, "choices", choices)      # bits, in consumption order
+        _set(self, "weight", weight)
+        _set(self, "labels", labels)
+        _set(self, "steps", steps)
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
-    paths: list[PathRecord]
-    converged_mass: Fraction
-    open_mass: Fraction
-    rejected_mass: Fraction      # runs ending in a nonzero numeral
-    diverged_mass: Fraction      # runs caught in a provable cycle
-    max_steps: int
-    max_choices: int
+class EnumerationResult(Record):
+    __slots__ = ("paths", "converged_mass", "open_mass", "rejected_mass",
+                 "diverged_mass", "max_steps", "max_choices")
+
+    def __init__(self, paths: list[PathRecord], converged_mass: Fraction,
+                 open_mass: Fraction, rejected_mass: Fraction,
+                 diverged_mass: Fraction, max_steps: int,
+                 max_choices: int) -> None:
+        _set(self, "paths", paths)
+        _set(self, "converged_mass", converged_mass)
+        _set(self, "open_mass", open_mass)
+        # runs ending in a nonzero numeral
+        _set(self, "rejected_mass", rejected_mass)
+        # runs caught in a provable cycle
+        _set(self, "diverged_mass", diverged_mass)
+        _set(self, "max_steps", max_steps)
+        _set(self, "max_choices", max_choices)
 
 
-@dataclass(frozen=True)
-class SampleRecord:
-    converged: bool
-    value: Optional[int]         # final numeral if the run terminated
-    labels: dict[str, int]
-    steps: int
+class SampleRecord(Record):
+    __slots__ = ("converged", "value", "labels", "steps")
+
+    def __init__(self, converged: bool, value: Optional[int],
+                 labels: dict[str, int], steps: int) -> None:
+        _set(self, "converged", converged)
+        _set(self, "value", value)      # final numeral if the run ended
+        _set(self, "labels", labels)
+        _set(self, "steps", steps)
 
 
-@dataclass(frozen=True)
-class CountEstimate:
-    label: str
-    n: int
-    n_converged: int
-    p_conv: float
-    mean: Optional[float]        # conditional on convergence
-    stderr: Optional[float]
-    seed: int
-    max_steps: int
+class CountEstimate(Record):
+    __slots__ = ("label", "n", "n_converged", "p_conv", "mean", "stderr",
+                 "seed", "max_steps")
+
+    def __init__(self, label: str, n: int, n_converged: int, p_conv: float,
+                 mean: Optional[float], stderr: Optional[float], seed: int,
+                 max_steps: int) -> None:
+        _set(self, "label", label)
+        _set(self, "n", n)
+        _set(self, "n_converged", n_converged)
+        _set(self, "p_conv", p_conv)
+        _set(self, "mean", mean)            # conditional on convergence
+        _set(self, "stderr", stderr)
+        _set(self, "seed", seed)
+        _set(self, "max_steps", max_steps)
 
 
 # ---------------------------------------------------------------------------

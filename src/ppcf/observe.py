@@ -17,7 +17,6 @@ and ``ppcf check tamed`` do not load them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -25,7 +24,8 @@ from .semantics import (
     DEFAULT_CONFIG, SemConfig, ground_denot, prob_zero, sval,
 )
 from .syntax import (
-    NAT, App, Arrow, Dice, Ifz, Lam, Term, Var, all_names, loop, typecheck,
+    NAT, App, Arrow, Dice, Ifz, Lam, Record, Term, Var, _set, all_names,
+    loop, typecheck,
 )
 
 __all__ = [
@@ -34,13 +34,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TamedReport:
-    p: float
-    denot_dist: float
-    bound: float
-    gaps: list            # (context index, gap)
-    violations: list
+class TamedReport(Record):
+    __slots__ = ("p", "denot_dist", "bound", "gaps", "violations")
+
+    def __init__(self, p: float, denot_dist: float, bound: float,
+                 gaps: list, violations: list) -> None:
+        _set(self, "p", p)
+        _set(self, "denot_dist", denot_dist)
+        _set(self, "bound", bound)
+        _set(self, "gaps", gaps)            # (context index, gap)
+        _set(self, "violations", violations)
 
     @property
     def ok(self) -> bool:

@@ -25,7 +25,6 @@ bound for program pairs needs only ground denotations and lives in
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,6 +32,7 @@ import numpy as np
 # perfbench/workloads.py calls these two as pcs.*; they live in observe
 from .observe import denot_dist_nat, tamed_bound_check  # noqa: F401
 from .semantics import Dual, sval
+from .syntax import MutableRecord, Record, _set
 
 __all__ = [
     "SLACK", "Space", "nat_web", "pair_web", "multiset_web", "tensor",
@@ -230,21 +230,23 @@ def compose(s: np.ndarray, t: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # power series
 
-@dataclass
-class PowerSeries:
+class PowerSeries(MutableRecord):
     """Entire map with nonnegative coefficients.
 
     coeffs maps (multiset over in_web, out symbol) to a coefficient;
     multisets are sorted tuples of symbols, repetitions included.
     """
-    in_web: tuple
-    out_web: tuple
-    coeffs: dict
 
-    def __post_init__(self):
-        self._in_ix = {s: i for i, s in enumerate(self.in_web)}
-        self._out_ix = {s: i for i, s in enumerate(self.out_web)}
-        for (mu, b), c in self.coeffs.items():
+    __slots__ = ("in_web", "out_web", "coeffs", "_in_ix", "_out_ix")
+    _fields = ("in_web", "out_web", "coeffs")
+
+    def __init__(self, in_web: tuple, out_web: tuple, coeffs: dict) -> None:
+        self.in_web = in_web
+        self.out_web = out_web
+        self.coeffs = coeffs
+        self._in_ix = {s: i for i, s in enumerate(in_web)}
+        self._out_ix = {s: i for i, s in enumerate(out_web)}
+        for (mu, b), c in coeffs.items():
             if b not in self._out_ix:
                 raise ValueError(f"unknown output symbol {b!r}")
             if any(s not in self._in_ix for s in mu):
@@ -333,24 +335,32 @@ def random_series(rng: np.random.Generator, in_web: tuple, out_web: tuple
 # ---------------------------------------------------------------------------
 # checks
 
-@dataclass(frozen=True)
-class TrialReport:
-    name: str
-    trials: int
-    violations: list
-    worst: float        # largest margin used, <= 1 means satisfied
+class TrialReport(Record):
+    __slots__ = ("name", "trials", "violations", "worst")
+
+    def __init__(self, name: str, trials: int, violations: list,
+                 worst: float) -> None:
+        _set(self, "name", name)
+        _set(self, "trials", trials)
+        _set(self, "violations", violations)
+        # largest margin used, <= 1 means satisfied
+        _set(self, "worst", worst)
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class ChainReport:
-    trials: int
-    max_err: float
-    tol: float
-    worst_trial: Optional[int]      # the trial reaching max_err, if > 0
+class ChainReport(Record):
+    __slots__ = ("trials", "max_err", "tol", "worst_trial")
+
+    def __init__(self, trials: int, max_err: float, tol: float,
+                 worst_trial: Optional[int]) -> None:
+        _set(self, "trials", trials)
+        _set(self, "max_err", max_err)
+        _set(self, "tol", tol)
+        # the trial reaching max_err, if > 0
+        _set(self, "worst_trial", worst_trial)
 
     @property
     def ok(self) -> bool:

@@ -57,12 +57,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
 from typing import Collection, Mapping, Optional, Union
 
 from .syntax import (
-    App, Dice, Fix, Ifz, Lam, Let, Mark, Nat, Num, Pred, PpcfError,
-    Succ, Term, Var, free_vars, labels_of, typecheck,
+    App, Dice, Fix, Ifz, Lam, Let, Mark, MutableRecord, Nat, Num, Pred,
+    PpcfError, Record, Succ, Term, Var, _set, free_vars, labels_of,
+    typecheck,
 )
 
 __all__ = [
@@ -242,8 +242,7 @@ ZERO = Dist({}, 0.0)
 # ---------------------------------------------------------------------------
 # configuration and results
 
-@dataclass(frozen=True)
-class SemConfig:
+class SemConfig(Record):
     """Settings of one denotation.
 
     ``nmax`` is the largest numeral a vector holds exactly; the rest
@@ -255,19 +254,22 @@ class SemConfig:
     an expected count diverges is not a setting but
     ``DIVERGENCE_THRESHOLD``.
     """
-    nmax: int = 64
-    fix_iters: int = 10_000
-    tol: float = 1e-9
 
-    def __post_init__(self):
+    __slots__ = ("nmax", "fix_iters", "tol")
+
+    def __init__(self, nmax: int = 64, fix_iters: int = 10_000,
+                 tol: float = 1e-9) -> None:
         # a tolerance of 0 or below never stops a Newton solve, and
         # a numeral range below 1 silently moves all mass into overflow
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise PpcfError(f"tol must be finite and > 0, got {self.tol}")
-        if self.nmax < 1:
-            raise PpcfError(f"nmax must be >= 1, got {self.nmax}")
-        if self.fix_iters < 1:
-            raise PpcfError(f"fix_iters must be >= 1, got {self.fix_iters}")
+        if not (math.isfinite(tol) and tol > 0):
+            raise PpcfError(f"tol must be finite and > 0, got {tol}")
+        if nmax < 1:
+            raise PpcfError(f"nmax must be >= 1, got {nmax}")
+        if fix_iters < 1:
+            raise PpcfError(f"fix_iters must be >= 1, got {fix_iters}")
+        _set(self, "nmax", nmax)
+        _set(self, "fix_iters", fix_iters)
+        _set(self, "tol", tol)
 
 
 DEFAULT_CONFIG = SemConfig()
@@ -279,32 +281,44 @@ OK = "OK"
 DIVERGES = "DIVERGES"
 UNDEFINED = "UNDEFINED"
 
-@dataclass(frozen=True)
-class GroundResult:
-    dist: Dist
-    converged: bool           # every table and rung hit tol
-    depth: int                # last ladder depth; the first rung if none ran
-    # partials whose implicit derivative met a singular I - J
-    diverging: frozenset = frozenset()
+class GroundResult(Record):
+    __slots__ = ("dist", "converged", "depth", "diverging")
+
+    def __init__(self, dist: Dist, converged: bool, depth: int,
+                 diverging: frozenset = frozenset()) -> None:
+        _set(self, "dist", dist)
+        _set(self, "converged", converged)  # every table and rung hit tol
+        # last ladder depth; the first rung if none ran
+        _set(self, "depth", depth)
+        # partials whose implicit derivative met a singular I - J
+        _set(self, "diverging", diverging)
 
 
-@dataclass(frozen=True)
-class ExpectedCount:
-    label: str
-    status: str               # OK, DIVERGES or UNDEFINED
-    raw: Optional[float]      # d/dr of convergence mass at rate 1
-    conditional: Optional[float]
-    p_conv: float
-    converged: bool
+class ExpectedCount(Record):
+    __slots__ = ("label", "status", "raw", "conditional", "p_conv",
+                 "converged")
+
+    def __init__(self, label: str, status: str, raw: Optional[float],
+                 conditional: Optional[float], p_conv: float,
+                 converged: bool) -> None:
+        _set(self, "label", label)
+        _set(self, "status", status)        # OK, DIVERGES or UNDEFINED
+        _set(self, "raw", raw)      # d/dr of convergence mass at rate 1
+        _set(self, "conditional", conditional)
+        _set(self, "p_conv", p_conv)
+        _set(self, "converged", converged)
 
 
-@dataclass(frozen=True)
-class FdCheck:
-    label: str
-    h: float
-    at: float                 # rate the derivative is taken at, 1 - h
-    dual: float
-    central: float
+class FdCheck(Record):
+    __slots__ = ("label", "h", "at", "dual", "central")
+
+    def __init__(self, label: str, h: float, at: float, dual: float,
+                 central: float) -> None:
+        _set(self, "label", label)
+        _set(self, "h", h)
+        _set(self, "at", at)        # rate the derivative is taken at, 1 - h
+        _set(self, "dual", dual)
+        _set(self, "central", central)
 
     @property
     def abs_err(self) -> float:
@@ -314,11 +328,13 @@ class FdCheck:
 # ---------------------------------------------------------------------------
 # higher values
 
-@dataclass
-class Closure:
-    name: str
-    body: Term
-    env: dict
+class Closure(MutableRecord):
+    __slots__ = ("name", "body", "env")
+
+    def __init__(self, name: str, body: Term, env: dict) -> None:
+        self.name = name
+        self.body = body
+        self.env = env
 
     def fingerprint(self):
         return ("o", id(self))
@@ -337,22 +353,28 @@ class _BotType:
 VBot = _BotType()
 
 
-@dataclass(frozen=True)
-class VFix:
+class VFix(Record):
     """A fixpoint value: its family (see ``fixpoints.Family``) and the
     depth it unrolls to when the family is not a table."""
-    fam: object
-    depth: int
+
+    __slots__ = ("fam", "depth")
+
+    def __init__(self, fam, depth: int) -> None:
+        _set(self, "fam", fam)
+        _set(self, "depth", depth)
 
     def fingerprint(self):
         return ("o", id(self))
 
 
-@dataclass
-class VSum:
+class VSum(MutableRecord):
     """Formal nonnegative combination of function values.  Application
     is linear in the function, so sums distribute over apply."""
-    parts: tuple  # of (Scalar, value)
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple) -> None:
+        self.parts = parts      # of (Scalar, value)
 
     def fingerprint(self):
         return ("s", tuple((_fp_scalar(c), v.fingerprint())
@@ -562,7 +584,8 @@ def ground_denot(t: Term, cfg: SemConfig = DEFAULT_CONFIG,
             # input itself nests too deeply
             if prev is None:
                 raise
-            return replace(prev, converged=False)
+            return GroundResult(prev.dist, False, prev.depth,
+                                prev.diverging)
         res = GroundResult(dist, not ev.unconverged, depth,
                            frozenset(ev.diverging))
         if not ev.unrolled:
@@ -571,7 +594,7 @@ def ground_denot(t: Term, cfg: SemConfig = DEFAULT_CONFIG,
                 and not ev.unconverged:
             return res
         prev = res
-    return replace(res, converged=False)
+    return GroundResult(res.dist, False, res.depth, res.diverging)
 
 
 def prob_zero(t: Term, cfg: SemConfig = DEFAULT_CONFIG) -> float:

@@ -35,18 +35,21 @@ Any other character is a syntax error, and so is a numeral longer than
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterator, Mapping, NamedTuple, Optional, Union
 
 __all__ = [
+    "Record", "MutableRecord",
     "Type", "Nat", "Arrow", "NAT",
     "Term", "Num", "Succ", "Pred", "Var", "Dice", "Let", "Ifz",
     "App", "Lam", "Fix", "Mark",
     "PpcfError", "PpcfSyntaxError", "PpcfTypeError",
     "num", "loop", "free_vars", "all_names", "labels_of", "subst",
     "children", "rebuild", "subterms", "fold",
-    "parse_term", "parse_type", "to_text", "type_to_text",
+    "parse_term", "parse_type", "parse_lines", "is_identifier", "to_text",
+    "type_to_text",
     "typecheck", "make_mq",
 ]
 
@@ -64,18 +67,101 @@ class PpcfTypeError(PpcfError):
 
 
 # ---------------------------------------------------------------------------
+# records
+
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the package's value records: terms, types, machine states
+    and the results and reports built from them.
+
+    A record class lists its fields in ``__slots__`` (or in ``_fields``,
+    when it has slots that are not fields) and sets them in its own
+    ``__init__`` with ``_set``.  Records compare and hash by class and
+    field values, print as ``Cls(field=value, ...)``, refuse assignment,
+    and pickle and copy by calling the class on their fields.  A record
+    that holds mutable state derives from ``MutableRecord`` instead.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        fields = cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+        # the methods read fields with attrgetter, which runs in C, and
+        # a record of one field compares without building tuples
+        if len(fields) == 1:
+            get = attrgetter(fields[0])
+
+            def values(self):
+                return (get(self),)
+
+            def __eq__(self, other):
+                if other.__class__ is self.__class__:
+                    a, b = get(self), get(other)
+                    return a is b or a == b
+                return NotImplemented
+
+            def __hash__(self) -> int:
+                return hash((get(self),))
+        else:
+            values = attrgetter(*fields) if fields else lambda self: ()
+
+            def __eq__(self, other):
+                if other.__class__ is self.__class__:
+                    return self is other or values(self) == values(other)
+                return NotImplemented
+
+            def __hash__(self) -> int:
+                return hash(values(self))
+
+        cls._values = staticmethod(values)
+        cls.__eq__ = __eq__
+        if cls.__hash__ is not None:
+            cls.__hash__ = __hash__
+
+    def __repr__(self) -> str:
+        inside = ", ".join(f"{f}={v!r}"
+                           for f, v in zip(self._fields, self._values(self)))
+        return f"{self.__class__.__qualname__}({inside})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (self.__class__, self._values(self))
+
+
+class MutableRecord(Record):
+    """A record whose fields may be reassigned; it has no hash."""
+
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+
+# ---------------------------------------------------------------------------
 # types
 
-@dataclass(frozen=True)
-class Nat:
+class Nat(Record):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "nat"
 
 
-@dataclass(frozen=True)
-class Arrow:
-    dom: "Type"
-    cod: "Type"
+class Arrow(Record):
+    __slots__ = ("dom", "cod")
+
+    def __init__(self, dom: Type, cod: Type) -> None:
+        _set(self, "dom", dom)
+        _set(self, "cod", cod)
 
     def __str__(self) -> str:
         return type_to_text(self)
@@ -88,79 +174,95 @@ NAT = Nat()
 # ---------------------------------------------------------------------------
 # terms
 
-@dataclass(frozen=True)
-class Num:
-    n: int
+class Num(Record):
+    __slots__ = ("n",)
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise PpcfSyntaxError(f"numeral must be nonnegative, got {self.n}")
-
-
-@dataclass(frozen=True)
-class Succ:
-    arg: "Term"
+    def __init__(self, n: int) -> None:
+        if n < 0:
+            raise PpcfSyntaxError(f"numeral must be nonnegative, got {n}")
+        _set(self, "n", n)
 
 
-@dataclass(frozen=True)
-class Pred:
-    arg: "Term"
+class Succ(Record):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Term) -> None:
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Pred(Record):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Term) -> None:
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Dice:
-    rate: Fraction
+class Var(Record):
+    __slots__ = ("name",)
 
-    def __post_init__(self) -> None:
-        r = self.rate
-        if not isinstance(r, Fraction):
-            object.__setattr__(self, "rate", Fraction(r))
-            r = self.rate
-        if not (0 <= r <= 1):
-            raise PpcfSyntaxError(f"dice rate must lie in [0,1], got {r}")
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Let:
-    name: str
-    bound: "Term"
-    body: "Term"
+class Dice(Record):
+    __slots__ = ("rate",)
+
+    def __init__(self, rate: Fraction) -> None:
+        if not isinstance(rate, Fraction):
+            rate = Fraction(rate)
+        if not (0 <= rate <= 1):
+            raise PpcfSyntaxError(f"dice rate must lie in [0,1], got {rate}")
+        _set(self, "rate", rate)
 
 
-@dataclass(frozen=True)
-class Ifz:
-    scrut: "Term"
-    zero: "Term"
-    pos: "Term"
+class Let(Record):
+    __slots__ = ("name", "bound", "body")
+
+    def __init__(self, name: str, bound: Term, body: Term) -> None:
+        _set(self, "name", name)
+        _set(self, "bound", bound)
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
-class App:
-    fun: "Term"
-    arg: "Term"
+class Ifz(Record):
+    __slots__ = ("scrut", "zero", "pos")
+
+    def __init__(self, scrut: Term, zero: Term, pos: Term) -> None:
+        _set(self, "scrut", scrut)
+        _set(self, "zero", zero)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Lam:
-    name: str
-    ty: Type
-    body: "Term"
+class App(Record):
+    __slots__ = ("fun", "arg")
+
+    def __init__(self, fun: Term, arg: Term) -> None:
+        _set(self, "fun", fun)
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Fix:
-    arg: "Term"
+class Lam(Record):
+    __slots__ = ("name", "ty", "body")
+
+    def __init__(self, name: str, ty: Type, body: Term) -> None:
+        _set(self, "name", name)
+        _set(self, "ty", ty)
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
-class Mark:
-    body: "Term"
-    label: str
+class Fix(Record):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Term) -> None:
+        _set(self, "arg", arg)
+
+
+class Mark(Record):
+    __slots__ = ("body", "label")
+
+    def __init__(self, body: Term, label: str) -> None:
+        _set(self, "body", body)
+        _set(self, "label", label)
 
 
 Term = Union[Num, Succ, Pred, Var, Dice, Let, Ifz, App, Lam, Fix, Mark]
@@ -361,8 +463,8 @@ _PREFIX = {"succ": Succ, "pred": Pred, "fix": Fix}
 
 
 class _Parser:
-    def __init__(self, src: str):
-        self.toks = _tokenize(src)
+    def __init__(self, toks: list[_Tok]):
+        self.toks = toks
         self.pos = 0
 
     def peek(self) -> _Tok:
@@ -539,11 +641,32 @@ class _Parser:
 
 
 def parse_term(src: str) -> Term:
-    return _Parser(src).whole(_Parser.term)
+    return _Parser(_tokenize(src)).whole(_Parser.term)
 
 
 def parse_type(src: str) -> Type:
-    return _Parser(src).whole(_Parser.type_)
+    return _Parser(_tokenize(src)).whole(_Parser.type_)
+
+
+def parse_lines(src: str) -> list[tuple[int, Term]]:
+    """The term on each line of src that holds a token, with its line
+    number; a syntax error gives its line and column in src."""
+    out = []
+    for line, toks in groupby(_tokenize(src)[:-1], attrgetter("line")):
+        toks = list(toks)
+        end = toks[-1].col + len(toks[-1].text)
+        toks.append(_Tok("eof", "", line, end))
+        out.append((line, _Parser(toks).whole(_Parser.term)))
+    return out
+
+
+def is_identifier(name: str) -> bool:
+    """Whether name reads as one identifier that is not a keyword."""
+    try:
+        toks = _tokenize(name)
+    except PpcfSyntaxError:
+        return False
+    return len(toks) == 2 and toks[0].kind == "ident" and toks[0].text == name
 
 
 # ---------------------------------------------------------------------------

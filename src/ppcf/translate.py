@@ -23,7 +23,7 @@ from typing import Mapping, Optional
 
 from .syntax import (
     Dice, Ifz, Mark, PpcfError, Term, Type, Var, all_names, fold,
-    labels_of, loop, rebuild, _type_step,
+    is_identifier, labels_of, loop, rebuild, _type_step,
 )
 
 __all__ = ["strip", "lcof", "spy", "default_spy_vars"]
@@ -86,6 +86,10 @@ def spy(t: Term, variables: Optional[Mapping[str, str]] = None) -> Term:
     names, labels = all_names(t), labels_of(t)
     if variables is None:
         variables = _fresh_vars(names, labels)
+    for name in variables.values():
+        # the printed term must parse back
+        if not is_identifier(name):
+            raise PpcfError(f"spy variable {name!r} is not an identifier")
     missing = labels - set(variables)
     if missing:
         raise PpcfError(f"no spy variable for labels {sorted(missing)}")

@@ -7,6 +7,7 @@ import pytest
 
 from ppcf import corpus
 from ppcf.cli import main
+from ppcf.syntax import free_vars, parse_term
 
 
 @pytest.fixture
@@ -396,6 +397,45 @@ def test_translate_modes(capsys, programs):
     rc, out = run_cli(capsys, "translate", src, "--mode", "spy",
                       "--var", "a=pa", "--var", "b=pb")
     assert rc == 0 and "pa" in out["term"] and "pb" in out["term"]
+
+
+@pytest.mark.parametrize("name", ["ifz", "in", "1x", "", "r b"])
+def test_translate_spy_refuses_a_name_that_is_not_an_identifier(
+        capsys, programs, name):
+    # each of these prints a term that does not parse back
+    rc = main(["--quiet", "translate", programs("letpair"), "--mode", "spy",
+               "--var", f"a={name}", "--var", "b=pb"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and "identifier" in captured.err
+
+
+def test_translate_spy_output_parses_back(capsys, programs):
+    rc, out = run_cli(capsys, "translate", programs("letpair"), "--mode",
+                      "spy", "--var", "a=a'", "--var", "b=_b")
+    assert rc == 0
+    t = parse_term(out["term"])
+    assert {"a'", "_b"} <= free_vars(t)
+
+
+def test_check_tamed_contexts_error_names_file_and_line(capsys, tmp_path):
+    path = tmp_path / "bad.ctx"
+    path.write_text("# contexts\n\\x:nat. x\n\n  \\x:nat. succ (x\n")
+    rc = main(["--quiet", "check", "tamed", "--contexts", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {path}: line 4:18: ")
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+def test_check_tamed_without_contexts_exits_2(capsys, tmp_path, text):
+    # the bound over no context at all would hold vacuously
+    path = tmp_path / "empty.ctx"
+    path.write_text(text)
+    rc = main(["--quiet", "check", "tamed", "--contexts", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"error: {path}: no contexts\n"
 
 
 def test_check_suites_pass(capsys):

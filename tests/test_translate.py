@@ -25,12 +25,7 @@ LETPAIR = parse_term("""
 
 
 def count_nodes(t, cls):
-    n = isinstance(t, cls)
-    for f in getattr(t, "__dataclass_fields__", ()):
-        v = getattr(t, f)
-        if hasattr(v, "__dataclass_fields__"):
-            n += count_nodes(v, cls)
-    return n
+    return sum(isinstance(s, cls) for s in subterms(t))
 
 
 def test_strip_removes_marks():
