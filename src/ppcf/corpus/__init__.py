@@ -42,8 +42,8 @@ def load_contexts(name: str = "contexts") -> List[Term]:
 
 
 def parse_contexts(text: str) -> List[Term]:
-    """The ``nat -> nat`` terms of a context file, one per line; errors
-    name the line, and a file without contexts is one."""
+    """The ``nat -> nat`` terms of a context file, one per line.  An
+    error names its line, and a file without contexts is an error."""
     out = []
     for line, t in parse_lines(text):
         try:
