@@ -57,9 +57,10 @@ def _load(path: str):
     return t
 
 
-def _label_map(items, flag: str, what: str, read) -> dict:
-    """The label=value items of a repeated flag, each value read by
-    read, which raises ValueError or ZeroDivisionError on bad text."""
+def _label_map(items, flag: str, what: str, read, labels) -> dict:
+    """The label=value items of a repeated flag, each label one of the
+    program's labels and each value read by read, which raises
+    ValueError or ZeroDivisionError on bad text."""
     out = {}
     for item in items or ():
         k, eq, v = item.partition("=")
@@ -69,6 +70,8 @@ def _label_map(items, flag: str, what: str, read) -> dict:
             out[k] = read(v)
         except (ValueError, ZeroDivisionError):
             raise PpcfError(f"{flag} expects label={what}, got {item!r}")
+        if k not in labels:
+            raise PpcfError(f"{flag} label {k!r} not in program")
     return out
 
 
@@ -197,15 +200,12 @@ def cmd_denot(args) -> int:
     t = _load(args.file)
     cfg = _sem_config(args)
     labels = labels_of(t)
-    rates, seed = None, ()
-    if labels:
-        rates = _label_map(args.rate, "--rate", "rational", Fraction)
-        missing = labels - rates.keys()
-        if missing:
-            raise PpcfError(f"labels without --rate: {sorted(missing)}")
-        if args.seed_labels:
-            seed = labels
-    res = semantics.ground_denot(t, cfg, rates, seed)
+    rates = _label_map(args.rate, "--rate", "rational", Fraction, labels)
+    missing = labels - rates.keys()
+    if missing:
+        raise PpcfError(f"labels without --rate: {sorted(missing)}")
+    res = semantics.ground_denot(t, cfg, rates,
+                                 labels if args.seed_labels else ())
     _emit({"dist": _dist_json(res.dist), "converged": res.converged,
            "depth": res.depth})
     return 0
@@ -263,9 +263,10 @@ def cmd_translate(args) -> int:
         out = strip(t)
     elif args.mode == "lcof":
         out = lcof(t, _label_map(args.rate, "--rate", "rational",
-                                 Fraction))
+                                 Fraction, labels_of(t)))
     else:
-        out = spy(t, _label_map(args.var, "--var", "name", str) or None)
+        out = spy(t, _label_map(args.var, "--var", "name", str,
+                                labels_of(t)) or None)
     _emit({"mode": args.mode, "term": to_text(out)})
     return 0
 
@@ -363,11 +364,12 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="run a program on the stack machine")
     p.add_argument("file")
-    p.add_argument("--exhaustive", action="store_true",
-                   help="enumerate all choice prefixes (default)")
-    p.add_argument("--samples", type=_positive_int, default=None)
-    p.add_argument("--choices", default=None,
-                   help="explicit bit string to run on")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--exhaustive", action="store_true",
+                      help="enumerate all choice prefixes (default)")
+    mode.add_argument("--samples", type=_positive_int, default=None)
+    mode.add_argument("--choices", default=None,
+                      help="explicit bit string to run on")
     p.add_argument("--max-steps", type=_positive_int, default=None)
     p.add_argument("--max-choices", type=_nonneg_int, default=None)
     p.add_argument("--seed", type=int, default=None)

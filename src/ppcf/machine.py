@@ -193,61 +193,27 @@ def state_type(state: State) -> Type:
 
 
 class PathRecord(Record):
-    __slots__ = ("choices", "weight", "labels", "steps")
-
-    def __init__(self, choices: str, weight: Fraction,
-                 labels: dict[str, int], steps: int) -> None:
-        _set(self, "choices", choices)      # bits, in consumption order
-        _set(self, "weight", weight)
-        _set(self, "labels", labels)
-        _set(self, "steps", steps)
+    __slots__ = ("choices",     # bits, in consumption order
+                 "weight", "labels", "steps")
 
 
 class EnumerationResult(Record):
-    __slots__ = ("paths", "converged_mass", "open_mass", "rejected_mass",
-                 "diverged_mass", "max_steps", "max_choices")
-
-    def __init__(self, paths: list[PathRecord], converged_mass: Fraction,
-                 open_mass: Fraction, rejected_mass: Fraction,
-                 diverged_mass: Fraction, max_steps: int,
-                 max_choices: int) -> None:
-        _set(self, "paths", paths)
-        _set(self, "converged_mass", converged_mass)
-        _set(self, "open_mass", open_mass)
-        # runs ending in a nonzero numeral
-        _set(self, "rejected_mass", rejected_mass)
-        # runs caught in a provable cycle
-        _set(self, "diverged_mass", diverged_mass)
-        _set(self, "max_steps", max_steps)
-        _set(self, "max_choices", max_choices)
+    __slots__ = ("paths", "converged_mass", "open_mass",
+                 "rejected_mass",   # runs ending in a nonzero numeral
+                 "diverged_mass",   # runs caught in a provable cycle
+                 "max_steps", "max_choices")
 
 
 class SampleRecord(Record):
-    __slots__ = ("converged", "value", "labels", "steps")
-
-    def __init__(self, converged: bool, value: Optional[int],
-                 labels: dict[str, int], steps: int) -> None:
-        _set(self, "converged", converged)
-        _set(self, "value", value)      # final numeral if the run ended
-        _set(self, "labels", labels)
-        _set(self, "steps", steps)
+    __slots__ = ("converged",
+                 "value",       # final numeral if the run ended
+                 "labels", "steps")
 
 
 class CountEstimate(Record):
-    __slots__ = ("label", "n", "n_converged", "p_conv", "mean", "stderr",
-                 "seed", "max_steps")
-
-    def __init__(self, label: str, n: int, n_converged: int, p_conv: float,
-                 mean: Optional[float], stderr: Optional[float], seed: int,
-                 max_steps: int) -> None:
-        _set(self, "label", label)
-        _set(self, "n", n)
-        _set(self, "n_converged", n_converged)
-        _set(self, "p_conv", p_conv)
-        _set(self, "mean", mean)            # conditional on convergence
-        _set(self, "stderr", stderr)
-        _set(self, "seed", seed)
-        _set(self, "max_steps", max_steps)
+    __slots__ = ("label", "n", "n_converged", "p_conv",
+                 "mean",        # conditional on convergence
+                 "stderr", "seed", "max_steps")
 
 
 # ---------------------------------------------------------------------------

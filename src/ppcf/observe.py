@@ -24,8 +24,8 @@ from .semantics import (
     DEFAULT_CONFIG, SemConfig, ground_denot, prob_zero, sval,
 )
 from .syntax import (
-    NAT, App, Arrow, Dice, Ifz, Lam, Record, Term, Var, _set, all_names,
-    loop, typecheck,
+    NAT, App, Arrow, Dice, Ifz, Lam, Record, Term, Var, all_names,
+    fresh_name, loop, typecheck,
 )
 
 __all__ = [
@@ -35,15 +35,9 @@ __all__ = [
 
 
 class TamedReport(Record):
-    __slots__ = ("p", "denot_dist", "bound", "gaps", "violations")
-
-    def __init__(self, p: float, denot_dist: float, bound: float,
-                 gaps: list, violations: list) -> None:
-        _set(self, "p", p)
-        _set(self, "denot_dist", denot_dist)
-        _set(self, "bound", bound)
-        _set(self, "gaps", gaps)            # (context index, gap)
-        _set(self, "violations", violations)
+    __slots__ = ("p", "denot_dist", "bound",
+                 "gaps",        # (context index, gap)
+                 "violations")
 
     @property
     def ok(self) -> bool:
@@ -54,19 +48,13 @@ class TamedReport(Record):
         return max((g for _, g in self.gaps), default=0.0)
 
 
-def _fresh(name: str, taken) -> str:
-    while name in taken:
-        name += "_"
-    return name
-
-
 def tame(context: Term, p: Fraction) -> Term:
     """Precompose a context with a p-biased gate on its argument, so one
     use of the tested term survives with probability p."""
     ty = typecheck(context)
     if type(ty) is not Arrow or ty.cod != NAT:
         raise ValueError(f"contexts must map into nat, got {ty}")
-    z = _fresh("z", all_names(context))
+    z = fresh_name("z", all_names(context))
     gate = Ifz(Dice(Fraction(p)), Var(z), loop(ty.dom))
     return Lam(z, ty.dom, App(context, gate))
 

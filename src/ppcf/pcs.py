@@ -32,7 +32,7 @@ import numpy as np
 # perfbench/workloads.py calls these two as pcs.*; they live in observe
 from .observe import denot_dist_nat, tamed_bound_check  # noqa: F401
 from .semantics import Dual, sval
-from .syntax import MutableRecord, Record, _set
+from .syntax import MutableRecord, Record
 
 __all__ = [
     "SLACK", "Space", "nat_web", "pair_web", "multiset_web", "tensor",
@@ -336,15 +336,8 @@ def random_series(rng: np.random.Generator, in_web: tuple, out_web: tuple
 # checks
 
 class TrialReport(Record):
-    __slots__ = ("name", "trials", "violations", "worst")
-
-    def __init__(self, name: str, trials: int, violations: list,
-                 worst: float) -> None:
-        _set(self, "name", name)
-        _set(self, "trials", trials)
-        _set(self, "violations", violations)
-        # largest margin used, <= 1 means satisfied
-        _set(self, "worst", worst)
+    __slots__ = ("name", "trials", "violations",
+                 "worst")       # largest margin used, <= 1 means satisfied
 
     @property
     def ok(self) -> bool:
@@ -352,15 +345,8 @@ class TrialReport(Record):
 
 
 class ChainReport(Record):
-    __slots__ = ("trials", "max_err", "tol", "worst_trial")
-
-    def __init__(self, trials: int, max_err: float, tol: float,
-                 worst_trial: Optional[int]) -> None:
-        _set(self, "trials", trials)
-        _set(self, "max_err", max_err)
-        _set(self, "tol", tol)
-        # the trial reaching max_err, if > 0
-        _set(self, "worst_trial", worst_trial)
+    __slots__ = ("trials", "max_err", "tol",
+                 "worst_trial")     # the trial reaching max_err, if > 0
 
     @property
     def ok(self) -> bool:

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Optional
+from typing import List
 
 from .machine import split_seed
 from .syntax import (
-    NAT, App, Arrow, Dice, Fix, Ifz, Lam, Let, Mark, Num, Pred, Succ, Term,
-    Var, labels_of, num, typecheck,
+    NAT, App, Arrow, Dice, Fix, Ifz, Lam, Let, Mark, Pred, Succ, Term, Var,
+    labels_of, num, typecheck,
 )
 
 __all__ = ["gen_program", "gen_corpus", "LABEL_POOL"]

@@ -295,30 +295,16 @@ class GroundResult(Record):
 
 
 class ExpectedCount(Record):
-    __slots__ = ("label", "status", "raw", "conditional", "p_conv",
-                 "converged")
-
-    def __init__(self, label: str, status: str, raw: Optional[float],
-                 conditional: Optional[float], p_conv: float,
-                 converged: bool) -> None:
-        _set(self, "label", label)
-        _set(self, "status", status)        # OK, DIVERGES or UNDEFINED
-        _set(self, "raw", raw)      # d/dr of convergence mass at rate 1
-        _set(self, "conditional", conditional)
-        _set(self, "p_conv", p_conv)
-        _set(self, "converged", converged)
+    __slots__ = ("label",
+                 "status",      # OK, DIVERGES or UNDEFINED
+                 "raw",         # d/dr of convergence mass at rate 1
+                 "conditional", "p_conv", "converged")
 
 
 class FdCheck(Record):
-    __slots__ = ("label", "h", "at", "dual", "central")
-
-    def __init__(self, label: str, h: float, at: float, dual: float,
-                 central: float) -> None:
-        _set(self, "label", label)
-        _set(self, "h", h)
-        _set(self, "at", at)        # rate the derivative is taken at, 1 - h
-        _set(self, "dual", dual)
-        _set(self, "central", central)
+    __slots__ = ("label", "h",
+                 "at",          # rate the derivative is taken at, 1 - h
+                 "dual", "central")
 
     @property
     def abs_err(self) -> float:
@@ -330,11 +316,6 @@ class FdCheck(Record):
 
 class Closure(MutableRecord):
     __slots__ = ("name", "body", "env")
-
-    def __init__(self, name: str, body: Term, env: dict) -> None:
-        self.name = name
-        self.body = body
-        self.env = env
 
     def fingerprint(self):
         return ("o", id(self))
@@ -359,10 +340,6 @@ class VFix(Record):
 
     __slots__ = ("fam", "depth")
 
-    def __init__(self, fam, depth: int) -> None:
-        _set(self, "fam", fam)
-        _set(self, "depth", depth)
-
     def fingerprint(self):
         return ("o", id(self))
 
@@ -371,10 +348,7 @@ class VSum(MutableRecord):
     """Formal nonnegative combination of function values.  Application
     is linear in the function, so sums distribute over apply."""
 
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple) -> None:
-        self.parts = parts      # of (Scalar, value)
+    __slots__ = ("parts",)     # of (Scalar, value)
 
     def fingerprint(self):
         return ("s", tuple((_fp_scalar(c), v.fingerprint())

@@ -46,8 +46,8 @@ __all__ = [
     "Term", "Num", "Succ", "Pred", "Var", "Dice", "Let", "Ifz",
     "App", "Lam", "Fix", "Mark",
     "PpcfError", "PpcfSyntaxError", "PpcfTypeError",
-    "num", "loop", "free_vars", "all_names", "labels_of", "subst",
-    "children", "rebuild", "subterms", "fold",
+    "num", "loop", "free_vars", "all_names", "fresh_name", "labels_of",
+    "subst", "children", "rebuild", "subterms", "fold",
     "parse_term", "parse_type", "parse_lines", "is_identifier", "to_text",
     "type_to_text",
     "typecheck", "make_mq",
@@ -76,12 +76,15 @@ class Record:
     """Base of the package's value records: terms, types, machine states
     and the results and reports built from them.
 
-    A record class lists its fields in ``__slots__`` (or in ``_fields``,
-    when it has slots that are not fields) and sets them in its own
-    ``__init__`` with ``_set``.  Records compare and hash by class and
-    field values, print as ``Cls(field=value, ...)``, refuse assignment,
-    and pickle and copy by calling the class on their fields.  A record
-    that holds mutable state derives from ``MutableRecord`` instead.
+    A record class lists its fields once, in ``__slots__`` (or in
+    ``_fields``, when it has slots that are not fields), and gets a
+    constructor taking them in that order.  A record that checks,
+    converts or defaults an argument, or sets a slot that is not a
+    field, writes its own ``__init__`` and sets fields with ``_set``.
+    Records compare and hash by class and field values, print as
+    ``Cls(field=value, ...)``, refuse assignment, and pickle and copy by
+    calling the class on their fields.  A record that holds mutable
+    state derives from ``MutableRecord`` instead.
     """
 
     __slots__ = ()
@@ -90,6 +93,8 @@ class Record:
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         fields = cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+        if fields and "__init__" not in cls.__dict__:
+            cls.__init__ = _constructor(cls, fields)
         # the methods read fields with attrgetter, which runs in C, and
         # a record of one field compares without building tuples
         if len(fields) == 1:
@@ -137,6 +142,20 @@ class Record:
         return (self.__class__, self._values(self))
 
 
+def _constructor(cls, fields: tuple[str, ...]):
+    """An ``__init__`` storing its arguments in the fields: by ``_set``
+    on a frozen record, by assignment on a mutable one, which is faster
+    and runs at every closure the evaluator builds."""
+    store = "self.{0} = {0}" if cls.__setattr__ is _set \
+        else "_set(self, {0!r}, {0})"
+    ns = {"_set": _set}
+    exec(f"def __init__(self, {', '.join(fields)}):\n"
+         + "".join(f"    {store.format(f)}\n" for f in fields), ns)
+    init = ns["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
 class MutableRecord(Record):
     """A record whose fields may be reassigned; it has no hash."""
 
@@ -158,10 +177,6 @@ class Nat(Record):
 
 class Arrow(Record):
     __slots__ = ("dom", "cod")
-
-    def __init__(self, dom: Type, cod: Type) -> None:
-        _set(self, "dom", dom)
-        _set(self, "cod", cod)
 
     def __str__(self) -> str:
         return type_to_text(self)
@@ -186,22 +201,13 @@ class Num(Record):
 class Succ(Record):
     __slots__ = ("arg",)
 
-    def __init__(self, arg: Term) -> None:
-        _set(self, "arg", arg)
-
 
 class Pred(Record):
     __slots__ = ("arg",)
 
-    def __init__(self, arg: Term) -> None:
-        _set(self, "arg", arg)
-
 
 class Var(Record):
     __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        _set(self, "name", name)
 
 
 class Dice(Record):
@@ -218,51 +224,25 @@ class Dice(Record):
 class Let(Record):
     __slots__ = ("name", "bound", "body")
 
-    def __init__(self, name: str, bound: Term, body: Term) -> None:
-        _set(self, "name", name)
-        _set(self, "bound", bound)
-        _set(self, "body", body)
-
 
 class Ifz(Record):
     __slots__ = ("scrut", "zero", "pos")
-
-    def __init__(self, scrut: Term, zero: Term, pos: Term) -> None:
-        _set(self, "scrut", scrut)
-        _set(self, "zero", zero)
-        _set(self, "pos", pos)
 
 
 class App(Record):
     __slots__ = ("fun", "arg")
 
-    def __init__(self, fun: Term, arg: Term) -> None:
-        _set(self, "fun", fun)
-        _set(self, "arg", arg)
-
 
 class Lam(Record):
     __slots__ = ("name", "ty", "body")
-
-    def __init__(self, name: str, ty: Type, body: Term) -> None:
-        _set(self, "name", name)
-        _set(self, "ty", ty)
-        _set(self, "body", body)
 
 
 class Fix(Record):
     __slots__ = ("arg",)
 
-    def __init__(self, arg: Term) -> None:
-        _set(self, "arg", arg)
-
 
 class Mark(Record):
     __slots__ = ("body", "label")
-
-    def __init__(self, body: Term, label: str) -> None:
-        _set(self, "body", body)
-        _set(self, "label", label)
 
 
 Term = Union[Num, Succ, Pred, Var, Dice, Let, Ifz, App, Lam, Fix, Mark]
@@ -390,6 +370,13 @@ def all_names(t: Term) -> frozenset[str]:
     """Every variable name occurring in t, free or bound."""
     return frozenset(s.name for s in subterms(t)
                      if type(s) in (Var, Lam, Let))
+
+
+def fresh_name(name: str, taken) -> str:
+    """name with ``_`` appended until it is not in taken."""
+    while name in taken:
+        name += "_"
+    return name
 
 
 def labels_of(t: Term) -> frozenset[str]:

@@ -23,7 +23,7 @@ from typing import Mapping, Optional
 
 from .syntax import (
     Dice, Ifz, Mark, PpcfError, Term, Type, Var, all_names, fold,
-    is_identifier, labels_of, loop, rebuild, _type_step,
+    fresh_name, is_identifier, labels_of, loop, rebuild, _type_step,
 )
 
 __all__ = ["strip", "lcof", "spy", "default_spy_vars"]
@@ -63,11 +63,8 @@ def _fresh_vars(names: frozenset[str],
     taken = set(names)
     out = {}
     for l in sorted(labels):
-        name = f"r_{l}"
-        while name in taken:
-            name += "_"
+        out[l] = name = fresh_name(f"r_{l}", taken)
         taken.add(name)
-        out[l] = name
     return out
 
 

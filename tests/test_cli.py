@@ -67,6 +67,19 @@ def test_eval_explicit_choices(capsys, programs):
     assert rc == 2
 
 
+@pytest.mark.parametrize("modes", [
+    ["--choices", "0", "--samples", "5"],
+    ["--exhaustive", "--samples", "5"],
+    ["--exhaustive", "--choices", "0"],
+])
+def test_eval_modes_exclude_each_other(capsys, programs, modes):
+    # each pair used to run one mode, ignore the other and exit 0
+    rc = main(["--quiet", "eval", programs("letpair"), *modes])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
 def test_eval_sampling_seeded(capsys, programs):
     src = programs("dice010")
     rc, a = run_cli(capsys, "eval", src, "--samples", "300", "--seed", "9")
@@ -335,6 +348,36 @@ def test_denot_with_rates(capsys, programs):
     assert abs(c0["d"]["t"] - 3.0) < 1e-3
     rc, _ = run_cli(capsys, "denot", src, "--rate", "t=huh")
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["denot", "zero"],
+    ["translate", "zero", "--mode", "lcof"],
+])
+def test_every_rate_is_read_even_without_labels(capsys, programs, argv):
+    # denot used to skip reading --rate on a program without marks
+    rc = main(["--quiet", argv[0], programs(argv[1]), *argv[2:],
+               "--rate", "a=garbage"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == \
+        "error: --rate expects label=rational, got 'a=garbage'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["denot", "--rate", "a=1/2", "--rate", "b=1", "--rate", "zz=7"],
+    ["translate", "--mode", "lcof", "--rate", "a=1/2", "--rate", "b=1",
+     "--rate", "zz=7"],
+    ["translate", "--mode", "spy", "--var", "a=pa", "--var", "b=pb",
+     "--var", "zz=pz"],
+])
+def test_a_label_not_in_the_program_exits_2(capsys, programs, argv):
+    # as expect --label zz does; these used to ignore zz and exit 0
+    rc = main(["--quiet", argv[0], programs("letpair"), *argv[1:]])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    flag = argv[-2]
+    assert captured.err == f"error: {flag} label 'zz' not in program\n"
 
 
 def test_expect_dual(capsys, programs):

@@ -5,6 +5,7 @@ with the same fields would (a mutable one as a plain dataclass)."""
 import copy
 import dataclasses
 import functools
+import gc
 import pickle
 from fractions import Fraction
 
@@ -163,3 +164,59 @@ def test_a_copied_state_has_an_empty_memo():
         assert back == state
         assert not back.cache.segments and not back.cache.table
         assert not back.cache.coins
+
+
+def test_only_records_that_check_or_default_write_a_constructor():
+    # every other record gets the one generated from its fields
+    own = {cls.__qualname__ for cls in map(type, SAMPLES)
+           if "__init__" in vars(cls)
+           and cls.__init__.__code__.co_filename != "<string>"}
+    assert own == {"Num", "Dice", "State", "SemConfig", "GroundResult",
+                   "PowerSeries"}
+
+
+@pytest.fixture
+def declared():
+    """A frozen and a mutable record declared for one test, collected
+    after it so that the package's record classes stay the only ones."""
+    class Pair(Record):
+        __slots__ = ("left", "right")
+
+    class Cell(MutableRecord):
+        __slots__ = ("value", "note")
+
+    classes = [Pair, Cell]
+    yield classes
+    classes.clear()
+    del Pair, Cell
+    gc.collect()
+
+
+def test_generated_constructor_takes_fields_by_position_and_keyword(
+        declared):
+    for cls in declared:
+        first, second = cls._fields
+        r = cls(1, [2])
+        assert _fields(r) == (1, [2])
+        assert cls(**{second: [2], first: 1}) == r == cls(1, **{second: [2]})
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((1,), {}), ((), {}), ((1, 2, 3), {}), ((1, 2), {"extra": 3}),
+    ((1,), {"other": 2}),
+])
+def test_generated_constructor_refuses_missing_and_extra_arguments(
+        declared, args, kwargs):
+    for cls in declared:
+        with pytest.raises(TypeError, match=r"Pair|Cell"):
+            cls(*args, **kwargs)
+
+
+def test_generated_constructor_leaves_a_mutable_record_assignable(declared):
+    pair, cell = (cls(1, 2) for cls in declared)
+    cell.value = 3
+    cell.note = "n"
+    assert _fields(cell) == (3, "n")
+    with pytest.raises(AttributeError):
+        pair.left = 3
+    assert _fields(pair) == (1, 2) and hash(pair) == hash((1, 2))
